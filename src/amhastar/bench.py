@@ -378,11 +378,6 @@ def run_matrix(config_path, out_dir=None) -> Path:
     return out
 
 
-def oracle_optimal(domain: SearchDomain, state_cap: int = 2_000_000) -> Optional[float]:
-    """Exhaustive optimal cost; None when the instance exceeds the cap."""
-    return uniform_cost_optimal(domain, state_cap=state_cap)
-
-
 def verify_manifest(manifest: RunManifest, oracle_cap: int = 2_000_000) -> Verdict:
     """Replay a manifest with logging and check it against the oracle."""
     records, planner, _ = run_from_manifest(manifest, record_expansions=True)

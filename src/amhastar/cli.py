@@ -9,6 +9,7 @@ from pathlib import Path
 from . import bench
 from .bench import MetricsRow, RunManifest, curve_csv, run_from_manifest
 from .grid import load_scenario
+from .oracle import uniform_cost_optimal
 from .tiles import format_instance_line, random_solvable_board
 from .verify import verify_run
 
@@ -121,7 +122,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_text(Path(args.manifest).read_text())
     records, planner, _ = run_from_manifest(manifest, record_expansions=True)
-    optimal = bench.oracle_optimal(manifest.build_domain(), state_cap=args.oracle_cap)
+    optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=args.oracle_cap)
     if optimal is None:
         print("oracle unavailable (state cap exceeded); bound checks skipped")
     verdict = verify_run(records, optimal, planner.expansion_log)

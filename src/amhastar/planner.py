@@ -19,6 +19,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Callable, Optional
 
 from .domain import SearchDomain
@@ -46,8 +47,9 @@ class PlannerConfig:
 
     w1 inflates heuristics inside queue keys, w2 gates inadmissible
     expansions relative to the anchor; both anneal by dw1/dw2 per iteration
-    down to 1. time_budget is in clock seconds ('wall' monotonic seconds, or
-    deterministic virtual seconds advancing by `tick` per expansion).
+    down to 1, computed on the decimal values as written. time_budget is in
+    clock seconds ('wall' monotonic seconds, or deterministic virtual
+    seconds advancing by `tick` per expansion).
     termination_check 'per_expansion' re-tests the exit condition before
     every expansion; 'per_round' only between rounds, as in the one-test-per-
     round formulation.
@@ -93,6 +95,17 @@ class SolutionRecord:
     elapsed: float
     expansions_total: int
     expansions_iteration: int
+
+
+def _scheduled_weight(w_init: float, dw: float, k: int) -> float:
+    """The weight after k decrements: max(w_init - k * dw, 1).
+
+    Computed on the decimal values the floats print as, so the schedule is
+    the one written down (1.3, 1.2, 1.1, 1.0 for w_init=1.3, dw=0.1) rather
+    than one that drifts by repeated float subtraction (1.0999999999999999).
+    Schedules exact in binary (12.5 by 5.75) come out unchanged.
+    """
+    return max(float(Decimal(repr(w_init)) - k * Decimal(repr(dw))), 1.0)
 
 
 class _WallClock:
@@ -337,6 +350,8 @@ class Planner:
         self.initialize()
         cfg = self._cfg
         one_shot = cfg.mode in ONE_SHOT_MODES
+        w1_init, w2_init = self._w1, self._w2
+        k = 0
         while self._w1 >= 1 and self._w2 >= 1:
             self._closed_anch.clear()
             self._closed_inad.clear()
@@ -354,8 +369,9 @@ class Planner:
                 break
             if one_shot:
                 break
-            self._w1 = max(self._w1 - cfg.dw1, 1.0)
-            self._w2 = max(self._w2 - cfg.dw2, 1.0)
+            k += 1
+            self._w1 = _scheduled_weight(w1_init, cfg.dw1, k)
+            self._w2 = _scheduled_weight(w2_init, cfg.dw2, k)
             self.reconcile_queues()
         return self._records
 

@@ -69,6 +69,18 @@ def test_bound_schedule_3_2_with_unit_decrements():
     assert [r.bound for r in records] == [6.0, 2.0, 1.0]
 
 
+def test_decimal_weight_steps_do_not_drift():
+    # Repeated float subtraction gives 1.3 - 0.1 - 0.1 == 1.0999999999999999
+    # and 2.0 minus ten 0.1 steps 1.0999999999999992; tenths x / 10 are the
+    # floats nearest the written decimals.
+    dom = grid_domain(6, 6, (0, 0), (5, 5))
+    for w1, expected in ((1.3, [13, 12, 11, 10]), (2.0, list(range(20, 9, -1)))):
+        records = run_ara(dom, PlannerConfig(w1_init=w1, dw1=0.1))
+        assert [r.bound for r in records] == [x / 10 for x in expected]
+    records = run_anytime(dom, PlannerConfig(w1_init=1.3, w2_init=1.3, dw1=0.1, dw2=0.1))
+    assert [r.bound for r in records] == [w * w for w in (1.3, 1.2, 1.1, 1.0)]
+
+
 def test_eight_puzzle_final_record_is_optimal():
     board = random_solvable_board(3, 3, seed=11)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=11)

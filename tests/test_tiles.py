@@ -167,6 +167,34 @@ def test_weighted_heuristic_degenerate_cases():
     assert dom2.heuristic(dom2.start(), 1) == 2  # mt=1, md=1, lc=0
 
 
+def scratch_heuristics(dom, board):
+    """All N+1 heuristic values recomputed from the board alone."""
+    mt, md, lc = heuristic_triple(board)
+    return [md + lc] + [a * mt + b * md + c * lc for a, b, c in dom.weights]
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (3, 3), (3, 4), (5, 2), (4, 4)])
+def test_incremental_heuristics_match_scratch_along_random_walks(width, height):
+    for seed in range(3):
+        board = random_solvable_board(width, height, seed=seed)
+        dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
+        # Start and goal are scored from scratch when asked about first.
+        for sid, b in ((dom.start(), board), (dom._goal, goal_board(width, height))):
+            for i, h in enumerate(scratch_heuristics(dom, b)):
+                assert dom.heuristic(sid, i) == h
+        rng = random.Random(seed)
+        sid = dom.start()
+        for _ in range(300):
+            children = dom.successors(sid)
+            for child, _ in children:
+                b = dom.board_of(child)
+                # Derived inside successors(), not on demand by heuristic().
+                assert dom._h[child][-3:] == heuristic_triple(b)
+                for i, h in enumerate(scratch_heuristics(dom, b)):
+                    assert dom.heuristic(child, i) == h
+            sid = rng.choice(children)[0]
+
+
 # -- solvability and generation ---------------------------------------------------
 
 
