@@ -365,7 +365,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
         (out / "curves" / f"{run_id}.csv").write_text(curve_csv(row))
         if use_oracle:
             optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
-            verdict = verify_run(records, optimal, planner.expansion_log)
+            verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
             verdict_lines.append(f"{run_id} {'PASS' if verdict.passed else 'FAIL'}")
             verdict_lines.extend("  " + f for f in verdict.failures)
     lines = [SUMMARY_COLUMNS]
@@ -382,4 +382,4 @@ def verify_manifest(manifest: RunManifest, oracle_cap: int = 2_000_000) -> Verdi
     """Replay a manifest with logging and check it against the oracle."""
     records, planner, _ = run_from_manifest(manifest, record_expansions=True)
     optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
-    return verify_run(records, optimal, planner.expansion_log)
+    return verify_run(records, optimal, planner.expansion_log, manifest.algo)

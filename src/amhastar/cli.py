@@ -125,7 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=args.oracle_cap)
     if optimal is None:
         print("oracle unavailable (state cap exceeded); bound checks skipped")
-    verdict = verify_run(records, optimal, planner.expansion_log)
+    verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
     print(f"records: {len(records)}  expansions: {planner.expansions_total}")
     print(verdict)
     return 0 if verdict.passed else 1

@@ -7,13 +7,27 @@ arc lengths in integer milli-meters. The anchor heuristic is straight-line
 distance; three inadmissible heuristics are backward 8-connected Dijkstra
 fields over the plain grid and over the grid with narrow passages blocked at
 the footprint's inscribed and circumscribed radii.
+
+`LatticeDomain` checks collisions on flat buffers. At construction it copies
+the map into one `bytes` buffer padded on every side with obstacle bytes,
+as wide as the farthest swept cell offset, so cells off the map read as
+obstacles without a bounds test. Each primitive's swept cells (its poses'
+footprint masks, relative to the start pose) are stored as row runs:
+maximal stretches of consecutive cells in one row, as `(start, end)` flat
+offsets from the pose's padded index. A primitive is then clear when
+`buf.find(1, base + start, base + end)` finds nothing for each of its runs.
+The heuristic fields are `array('d')` indexed by the cell index
+`sid // num_headings`.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .domain import SearchDomain
@@ -207,6 +221,7 @@ def _point_polygon_distance(px: float, py: float,
     return min(_segment_distance(px, py, verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
+@functools.lru_cache(maxsize=256)
 def footprint_cell_mask(
     footprint: RobotFootprint, resolution: float, num_headings: int, theta: int
 ) -> tuple[tuple[int, int], ...]:
@@ -337,6 +352,11 @@ def default_primitive_set(
         prims.append(_arc_primitive(num_headings, theta, True, min_turn_radius))
         prims.append(_arc_primitive(num_headings, theta, False, min_turn_radius))
     return prims
+
+
+@functools.lru_cache(maxsize=8)
+def _builtin_primitives(num_headings: int) -> tuple[MotionPrimitive, ...]:
+    return tuple(default_primitive_set(num_headings))
 
 
 def save_primitives(prims: Sequence[MotionPrimitive], num_headings: int, path) -> None:
@@ -475,6 +495,18 @@ def load_scenario(path) -> tuple[tuple[int, int, int], tuple[int, int, Optional[
     return (poses[0][0], poses[0][1], poses[0][2]), (gx, gy, gt)
 
 
+def _row_runs(offsets, stride: int) -> tuple[tuple[int, int], ...]:
+    """Cell offsets `(dx, dy)` as half-open `(start, end)` ranges of flat
+    offsets `dy * stride + dx`: maximal runs of consecutive `dx` in a row."""
+    runs: list[list[int]] = []
+    for flat in sorted({dy * stride + dx for dx, dy in offsets}):
+        if runs and runs[-1][1] == flat:
+            runs[-1][1] = flat + 1
+        else:
+            runs.append([flat, flat + 1])
+    return tuple((a, b) for a, b in runs)
+
+
 class LatticeDomain(SearchDomain):
     """Motion-primitive navigation domain with a four-heuristic ensemble.
 
@@ -483,6 +515,10 @@ class LatticeDomain(SearchDomain):
     passages blocked at radius 0 (zero-size robot), the footprint's inscribed
     radius and its circumscribed radius; +inf field cells fall back to the
     euclidean value (fallbacks are counted in `fallback_lookups`).
+
+    Collision checks read a padded snapshot of the map taken at
+    construction: later `grid.set_obstacle` calls are not seen, as they are
+    not seen by the successor cache either.
     """
 
     num_inadmissible = 3
@@ -499,27 +535,40 @@ class LatticeDomain(SearchDomain):
         self.grid = grid
         self.num_headings = num_headings
         if primitives is None:
-            primitives = default_primitive_set(num_headings)
+            primitives = _builtin_primitives(num_headings)
         self.primitives = list(primitives)
         if not self.primitives:
             raise ValueError("no motion primitives loaded")
         self.footprint = footprint or RobotFootprint.rectangle(1.2, 0.8)
-        self._masks = [
+        masks = [
             footprint_cell_mask(self.footprint, grid.resolution, num_headings, t)
             for t in range(num_headings)
         ]
-        self._by_heading: list[list[tuple[MotionPrimitive, int, tuple[tuple[int, int], ...]]]] = [
-            [] for _ in range(num_headings)
-        ]
+        swept_sets = []
         for p in self.primitives:
             if not (0 <= p.theta_start < num_headings and 0 <= p.theta_end < num_headings):
                 raise ValueError("primitive heading outside the configured fan")
-            cost = math.ceil(p.cost_milli * grid.resolution)
-            swept: set[tuple[int, int]] = set()
-            for px, py, pt in p.poses:
-                for mx, my in self._masks[pt]:
-                    swept.add((px + mx, py + my))
-            self._by_heading[p.theta_start].append((p, cost, tuple(sorted(swept))))
+            swept_sets.append({(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]})
+        w, h = grid.width, grid.height
+        pad = max(map(abs, chain.from_iterable(chain.from_iterable(swept_sets + masks))))
+        stride = w + 2 * pad
+        buf = bytearray(b"\x01") * (stride * (h + 2 * pad))
+        for y in range(h):
+            row = (y + pad) * stride + pad
+            buf[row:row + w] = grid.cells[y * w:(y + 1) * w]
+        self._buf = bytes(buf)
+        self._stride = stride
+        self._origin = pad * stride + pad  # buffer index of cell (0, 0)
+        self._mask_runs = [_row_runs(m, stride) for m in masks]
+        # Per start heading: (primitive, edge cost, end dx, end dy, child sid
+        # minus the sid of the parent's cell at heading 0, swept row runs).
+        self._by_heading: list[list[tuple]] = [[] for _ in range(num_headings)]
+        for p, cells in zip(self.primitives, swept_sets):
+            ex, ey, et = p.end
+            self._by_heading[p.theta_start].append((
+                p, math.ceil(p.cost_milli * grid.resolution), ex, ey,
+                (ey * w + ex) * num_headings + et, _row_runs(cells, stride),
+            ))
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
         self.goal_theta: Optional[int] = goal[2] if len(goal) == 3 else None
@@ -530,14 +579,18 @@ class LatticeDomain(SearchDomain):
             raise ValueError("start heading outside the configured fan")
         if self._pose_collides(sx, sy, st):
             raise ValueError(f"start pose {start_pose} is in collision")
-        self.clearance = clearance_field(grid)
+        # The sweeps read the list (indexing an array boxes a new float);
+        # the domain keeps arrays, a quarter the size of lists of floats.
+        clearance = clearance_field(grid)
         radii = (0.0, self.footprint.inscribed_radius, self.footprint.circumscribed_radius)
         self.block_radii = radii
         self.fields = [
-            dijkstra_field(grid, self.goal_cell, r, clearance=self.clearance) for r in radii
+            array("d", dijkstra_field(grid, self.goal_cell, r, clearance=clearance))
+            for r in radii
         ]
+        self.clearance = array("d", clearance)
         self.fallback_lookups = 0
-        self._w = grid.width
+        self._w = w
         self._start_sid = self._intern(sx, sy, st)
         self._succ: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -551,11 +604,11 @@ class LatticeDomain(SearchDomain):
         return (xy % self._w, xy // self._w, t)
 
     def _pose_collides(self, x: int, y: int, t: int) -> bool:
-        grid = self.grid
-        for dx, dy in self._masks[t]:
-            if grid.is_obstacle(x + dx, y + dy):
-                return True
-        return False
+        # Every mask holds the pose's own cell, so a pose off the map collides.
+        if not self.grid.in_bounds(x, y):
+            return True
+        buf, base = self._buf, y * self._stride + x + self._origin
+        return any(buf.find(1, base + a, base + b) >= 0 for a, b in self._mask_runs[t])
 
     def start(self) -> int:
         return self._start_sid
@@ -570,21 +623,23 @@ class LatticeDomain(SearchDomain):
         cached = self._succ.get(sid)
         if cached is not None:
             return cached
-        x, y, t = self.pose_of(sid)
-        grid = self.grid
+        h = self.num_headings
+        xy, t = divmod(sid, h)
+        w = self._w
+        y, x = divmod(xy, w)
+        height = self.grid.height
+        find = self._buf.find
+        base = y * self._stride + x + self._origin
+        sid0 = xy * h
         out = []
-        for prim, cost, swept in self._by_heading[t]:
-            ex, ey, et = prim.end
-            nx, ny = x + ex, y + ey
-            if not grid.in_bounds(nx, ny):
+        for _, cost, ex, ey, delta, runs in self._by_heading[t]:
+            if not (0 <= x + ex < w and 0 <= y + ey < height):
                 continue
-            hit = False
-            for ox, oy in swept:
-                if grid.is_obstacle(x + ox, y + oy):
-                    hit = True
+            for a, b in runs:
+                if find(1, base + a, base + b) >= 0:
                     break
-            if not hit:
-                out.append((self._intern(nx, ny, et), cost))
+            else:
+                out.append((sid0 + delta, cost))
         result = tuple(out)
         self._succ[sid] = result
         return result
@@ -597,8 +652,7 @@ class LatticeDomain(SearchDomain):
     def heuristic(self, sid: int, i: int) -> float:
         if i == 0:
             return self.euclidean_h(sid)
-        x, y, _ = self.pose_of(sid)
-        value = self.fields[i - 1][y * self._w + x]
+        value = self.fields[i - 1][sid // self.num_headings]
         if value == INF:
             self.fallback_lookups += 1
             return self.euclidean_h(sid)
@@ -608,7 +662,7 @@ class LatticeDomain(SearchDomain):
         """A loaded primitive realizing the edge a->b, if any (for replay checks)."""
         xa, ya, ta = self.pose_of(sid_a)
         xb, yb, tb = self.pose_of(sid_b)
-        for prim, _, _ in self._by_heading[ta]:
+        for prim, *_ in self._by_heading[ta]:
             ex, ey, et = prim.end
             if (xa + ex, ya + ey, et) == (xb, yb, tb):
                 return prim

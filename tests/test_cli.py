@@ -90,3 +90,26 @@ def test_bench_and_verify_round_trip(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+def test_demo_wastar_reopenings_pass_bench_and_verify(capsys, tmp_path):
+    # Boards i002 and i006 of the 8-puzzle demo, where weighted A* reopens
+    # closed states: no verdict may count that as an expansion-limit failure.
+    from amhastar.bench import RunManifest, parse_kv, verify_manifest
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    values = parse_kv((configs / "tiles3-demo.cfg").read_text())
+    boards = [ln.strip() for ln in (configs / values["instances"]).read_text().splitlines()
+              if ln.strip() and not ln.startswith("#")]
+    (tmp_path / "boards.txt").write_text(f"{boards[2]}\n{boards[6]}\n")
+    values.update(algos="wastar", instances="boards.txt")
+    (tmp_path / "bench.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["bench", "--config", str(tmp_path / "bench.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    verdicts = (tmp_path / "out" / "verdicts.txt").read_text()
+    assert verdicts == "wastar--i000 PASS\nwastar--i001 PASS\n"
+
+    manifests = tmp_path / "out" / "manifests"
+    assert main(["verify", "--manifest", str(manifests / "wastar--i000.txt")]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert verify_manifest(RunManifest.from_text((manifests / "wastar--i001.txt").read_text())).passed

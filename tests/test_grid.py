@@ -1,6 +1,8 @@
 """Grid domain: maps, primitives, footprints, fields, and the full lattice."""
 import math
+import random
 import warnings
+from array import array
 
 import pytest
 
@@ -17,6 +19,7 @@ from amhastar.grid import (
     footprint_cell_mask,
     footprint_collides,
     heading_angle,
+    heading_vector,
     load_primitives,
     load_scenario,
     save_primitives,
@@ -390,6 +393,120 @@ def test_goal_heading_constraint():
     assert not dom.is_goal(dom._intern(5, 4, 3))
     free = LatticeDomain(g, (1, 1, 0), (5, 5), footprint=SMALL)
     assert free.is_goal(free._intern(5, 5, 9))
+
+
+def _shuttle_primitives(num_headings, reach):
+    """Per heading: out `reach` cells along the heading's unit step and back to
+    the start cell, turning left at the end. The end cell is the start cell,
+    so from a pose on the map's edge it passes the end-cell bounds test and
+    its sweep reads the padding out to its full width."""
+    prims = []
+    for t in range(num_headings):
+        vx, vy = heading_vector(num_headings, t)
+        sx, sy = (vx > 0) - (vx < 0), (vy > 0) - (vy < 0)
+        out = [(k * sx, k * sy, t) for k in range(reach + 1)]
+        back = [(k * sx, k * sy, t) for k in range(reach - 1, 0, -1)]
+        end = (0, 0, (t + 1) % num_headings)
+        prims.append(MotionPrimitive(t, end[2], 1000 * 2 * reach, tuple(out + back) + (end,)))
+    return prims
+
+
+def _random_border_grid(rng, width, height, resolution):
+    """Random obstacles, denser on and next to the border."""
+    g = OccupancyGrid.empty(width, height, resolution)
+    for y in range(height):
+        for x in range(width):
+            edge = min(x, y, width - 1 - x, height - 1 - y)
+            if rng.random() < (0.3 if edge <= 1 else 0.1):
+                g.set_obstacle(x, y)
+    return g
+
+
+def _reference_successors(grid, footprint, num_headings, primitives, pose):
+    """Successor tuples from `footprint_collides` on every swept pose."""
+    x, y, t = pose
+    w = grid.width
+    out = []
+    for prim in primitives:
+        if prim.theta_start != t:
+            continue
+        ex, ey, et = prim.end
+        if not grid.in_bounds(x + ex, y + ey):
+            continue
+        if any(footprint_collides(grid, (x + px, y + py, pt), footprint, num_headings)
+               for px, py, pt in prim.poses):
+            continue
+        sid = ((y + ey) * w + (x + ex)) * num_headings + et
+        out.append((sid, math.ceil(prim.cost_milli * grid.resolution)))
+    return tuple(out)
+
+
+def _unit_primitives(num_headings):
+    """Per heading: a straight one heading vector long and a one-cell shuttle."""
+    prims = []
+    for t in range(num_headings):
+        vx, vy = heading_vector(num_headings, t)
+        poses = ((0, 0, t),) + tuple((round(k * vx / 4), round(k * vy / 4), t) for k in (2, 4))
+        prims.append(MotionPrimitive(t, t, 1000, tuple(dict.fromkeys(poses))))
+    return prims + _shuttle_primitives(num_headings, 1)
+
+
+@pytest.mark.parametrize("num_headings", (4, 8, 16))
+@pytest.mark.parametrize("resolution", (0.25, 0.5, 1.0))
+@pytest.mark.parametrize("footprint", (RobotFootprint.rectangle(1.2, 0.8),
+                                       RobotFootprint.rectangle(0.1, 0.1)),
+                         ids=("rect", "dot"))
+@pytest.mark.parametrize("kind", ("long", "unit"))
+def test_successors_and_heuristics_match_reference(num_headings, resolution, footprint, kind):
+    # The dot covers only its own cell, so with the unit primitives nothing
+    # sweeps more than a cell or two off the map: there a one-cell-too-narrow
+    # padding lets a sweep read past the buffer or into the next row's cells.
+    rng = random.Random(f"{num_headings}-{resolution}-{footprint}-{kind}")
+    width, height = 23, 19
+    grid = _random_border_grid(rng, width, height, resolution)
+    if kind == "long":
+        prims = (default_primitive_set(num_headings, min_turn_radius=1.0, long_length=2.0)
+                 + _shuttle_primitives(num_headings, 6))
+    else:
+        prims = _unit_primitives(num_headings)
+    start = (width // 2, height // 2, 0)
+    for dx, dy in footprint_cell_mask(footprint, resolution, num_headings, 0):
+        grid.set_obstacle(start[0] + dx, start[1] + dy, False)
+    goal = next((x, y) for y in range(height) for x in range(width) if not grid.is_obstacle(x, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a goal cell too narrow for a field
+        dom = LatticeDomain(grid, start, goal, primitives=prims, num_headings=num_headings,
+                            footprint=footprint)
+    # Poses at every distance from every edge out to the widest sweep, the
+    # four corners, and some more anywhere on the map.
+    reach = max(max(abs(px) + abs(mx), abs(py) + abs(my))
+                for p in prims for px, py, pt in p.poses
+                for mx, my in footprint_cell_mask(footprint, resolution, num_headings, pt))
+    cells = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
+    for d in range(min(reach + 1, height)):
+        cells += [(d, rng.randrange(height)), (width - 1 - d, rng.randrange(height)),
+                  (rng.randrange(width), d), (rng.randrange(width), height - 1 - d)]
+    cells += [(rng.randrange(width), rng.randrange(height)) for _ in range(30)]
+    poses = [(x, y, rng.randrange(num_headings)) for x, y in cells]
+    poses += [(x, y, t) for x, y in cells[:4] for t in range(num_headings)]
+
+    clearance = clearance_field(grid)
+    radii = (0.0, footprint.inscribed_radius, footprint.circumscribed_radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fields = [dijkstra_field(grid, goal, r, clearance=clearance) for r in radii]
+    assert all(type(f) is list for f in [clearance] + fields)
+    assert all(type(f) is array for f in [dom.clearance] + dom.fields)
+    gx, gy = goal
+    for x, y, t in poses:
+        sid = (y * width + x) * num_headings + t
+        assert dom.successors(sid) == _reference_successors(
+            grid, footprint, num_headings, prims, (x, y, t)), (x, y, t)
+        euclid = math.hypot(x - gx, y - gy) * resolution * 1000.0
+        assert dom.heuristic(sid, 0) == euclid
+        for i, field in enumerate(fields, start=1):
+            value = field[y * width + x]
+            assert dom.heuristic(sid, i) == (euclid if value == INF else value)
 
 
 def test_scenario_file_parsing(tmp_path):

@@ -96,3 +96,15 @@ def test_verify_flags_cost_regression():
 def test_verify_skips_bound_check_without_oracle():
     records = [record(1000, 1.0)]
     assert verify_run(records, oracle_cost=None).passed
+
+
+def test_reopening_modes_skip_only_the_expansion_limit():
+    log = [[(5, 0), (5, 0)]]  # one state expanded twice from the anchor
+    assert not verify_run([record(10, 2.0)], 10, log).passed
+    assert not verify_run([record(10, 2.0)], 10, log, mode="amha").passed
+    for mode in ("wastar", "astar"):
+        assert verify_run([record(10, 2.0)], 10, log, mode=mode).passed
+        over = verify_run([record(21, 2.0)], 10, log, mode=mode)
+        assert [f.split(":")[0] for f in over.failures] == ["suboptimality-bound"]
+        rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, mode=mode)
+        assert [f.split(":")[0] for f in rising.failures] == ["monotonicity"]
