@@ -2,17 +2,7 @@
 
 from .domain import SearchDomain, StateInterner
 from .heap import AddressableHeap
-from .planner import (
-    Outcome,
-    Planner,
-    PlannerConfig,
-    SolutionRecord,
-    run_anytime,
-    run_ara,
-    run_astar,
-    run_mha_oneshot,
-    run_wastar,
-)
+from .planner import Outcome, Planner, PlannerConfig, SolutionRecord
 from .verify import Verdict, verify_run
 
 __version__ = "0.1.0"
@@ -26,10 +16,5 @@ __all__ = [
     "SolutionRecord",
     "StateInterner",
     "Verdict",
-    "run_anytime",
-    "run_ara",
-    "run_astar",
-    "run_mha_oneshot",
-    "run_wastar",
     "verify_run",
 ]

@@ -9,7 +9,9 @@ algorithms x instances grid from a key=value config file and writes
                 eps_initial,eps_final,cost_initial,cost_final,expansions
   curves/<run-id>.csv   the anytime curve, columns: t_s,cost,bound
   manifests/<run-id>.txt   the replayable manifest
-  verdicts.txt  per-run guarantee checks, when an oracle is configured
+  verdicts.txt  per-run guarantee checks, when an oracle is configured; the
+                optimum of a board of at most 9 cells comes from one
+                exhaustive table per board size
 
 Replays are byte-identical when the manifest uses the virtual clock; wall
 clock timings vary by nature.
@@ -24,7 +26,7 @@ from typing import Optional
 
 from .domain import SearchDomain
 from .grid import LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives
-from .oracle import uniform_cost_optimal
+from .oracle import tile_goal_distances, uniform_cost_optimal
 from .planner import Planner, PlannerConfig, SolutionRecord
 from .tiles import TilePuzzleDomain, parse_instance_line
 from .verify import Verdict, verify_run
@@ -51,7 +53,6 @@ class RunManifest:
     clock: str = "wall"
     tick: float = 1e-4
     termination: str = "per_expansion"
-    tie_break: str = "high-g-low-id"
     seed: int = 0
     # tiles
     board: str = ""
@@ -76,6 +77,10 @@ class RunManifest:
     def from_text(cls, text: str) -> "RunManifest":
         values = parse_kv(text)
         values.pop("manifest_version", None)
+        # Older manifests record the heap's fixed tie order under this key.
+        tie_break = values.pop("tie_break", "high-g-low-id")
+        if tie_break != "high-g-low-id":
+            raise ValueError(f"unsupported tie_break {tie_break!r}")
         kwargs = {}
         for f in dataclasses.fields(cls):
             if f.name in values:
@@ -145,7 +150,6 @@ class RunManifest:
             termination_check=self.termination,
             clock=self.clock,
             tick=self.tick,
-            tie_break=self.tie_break,
             record_expansions=record_expansions,
             check_invariants=check_invariants,
         )
@@ -342,6 +346,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
     use_oracle = values.get("oracle", "off") == "on"
     oracle_cap = int(values.get("oracle_cap", "2000000"))
     record = use_oracle
+    tile_tables: dict[tuple[int, int], dict[bytes, int]] = {}
     manifests = _build_manifests(values, config_path.parent)
     rows: list[MetricsRow] = []
     verdict_lines: list[str] = []
@@ -364,7 +369,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
         rows.append(row)
         (out / "curves" / f"{run_id}.csv").write_text(curve_csv(row))
         if use_oracle:
-            optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
+            optimal = _oracle_optimal(manifest, oracle_cap, tile_tables)
             verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
             verdict_lines.append(f"{run_id} {'PASS' if verdict.passed else 'FAIL'}")
             verdict_lines.extend("  " + f for f in verdict.failures)
@@ -376,6 +381,23 @@ def run_matrix(config_path, out_dir=None) -> Path:
     if verdict_lines:
         (out / "verdicts.txt").write_text("\n".join(verdict_lines) + "\n")
     return out
+
+
+def _oracle_optimal(manifest: RunManifest, oracle_cap: int,
+                    tile_tables: dict[tuple[int, int], dict[bytes, int]]) -> Optional[float]:
+    """Optimal cost of a manifest's instance, for its verdict.
+
+    Boards of at most 9 cells are looked up in one exhaustive table per board
+    size, built on first use; every other instance runs the capped Dijkstra.
+    """
+    if manifest.domain == "tiles":
+        board = parse_instance_line(manifest.board)
+        if board.width * board.height <= 9:
+            size = (board.width, board.height)
+            if size not in tile_tables:
+                tile_tables[size] = tile_goal_distances(*size)
+            return tile_tables[size].get(bytes(board.tiles), math.inf)
+    return uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
 
 
 def verify_manifest(manifest: RunManifest, oracle_cap: int = 2_000_000) -> Verdict:

@@ -10,13 +10,13 @@ from . import bench
 from .bench import MetricsRow, RunManifest, curve_csv, run_from_manifest
 from .grid import load_scenario
 from .oracle import uniform_cost_optimal
+from .planner import MODES
 from .tiles import format_instance_line, random_solvable_board
 from .verify import verify_run
 
 
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", default="amha",
-                   choices=("amha", "mha", "ara", "wastar", "astar"))
+    p.add_argument("--algo", default="amha", choices=MODES)
     p.add_argument("--w1", type=float, default=3.0)
     p.add_argument("--w2", type=float, default=2.0)
     p.add_argument("--dw1", type=float, default=1.0)

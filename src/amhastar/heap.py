@@ -77,10 +77,6 @@ class AddressableHeap:
         self.discard(sid)
         return sid
 
-    def clear(self) -> None:
-        self._heap.clear()
-        self._pos.clear()
-
     def rebuild(self, entries) -> None:
         """Replace all contents with (sid, key, g) triples and heapify."""
         self._heap = [(key, -g, sid) for (sid, key, g) in entries]

@@ -9,16 +9,17 @@ next weight decrement, so work carries over between iterations. Published
 solutions are w1*w2-suboptimal and per-iteration re-expansion is capped at
 two (inadmissible then anchor).
 
-Four baselines share the machinery: `ara` (single queue, anytime on w1),
-`mha` (one-shot, stops after the first publish), `wastar` (single queue,
-one-shot) and `astar` (wastar at weight 1).
+The baselines are modes of the same loop, chosen by PlannerConfig(mode=...)
+and run by Planner(domain, config).run(): `ara` (single queue, anytime on
+w1), `mha` (one-shot, stops after the first publish), `wastar` (single
+queue, one-shot) and `astar` (wastar at weight 1).
 """
 from __future__ import annotations
 
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Optional
 
@@ -66,7 +67,6 @@ class PlannerConfig:
     tick: float = 1e-4
     record_expansions: bool = False
     check_invariants: bool = False
-    tie_break: str = "high-g-low-id"
 
     def __post_init__(self) -> None:
         if self.w1_init < 1 or self.w2_init < 1:
@@ -81,8 +81,6 @@ class PlannerConfig:
             raise ValueError(f"unknown clock {self.clock!r}")
         if self.tick <= 0:
             raise ValueError("tick must be > 0")
-        if self.tie_break != "high-g-low-id":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -146,31 +144,13 @@ class _VirtualClock:
         self._n += 1
 
 
-class OpenQueueSet:
-    """N+1 addressable open queues; queue 0 is the anchor."""
-
-    __slots__ = ("queues",)
-
-    def __init__(self, n_inadmissible: int) -> None:
-        self.queues = [AddressableHeap() for _ in range(n_inadmissible + 1)]
-
-    def __getitem__(self, i: int) -> AddressableHeap:
-        return self.queues[i]
-
-    def __len__(self) -> int:
-        return len(self.queues)
-
-    def remove_everywhere(self, sid: int) -> None:
-        for q in self.queues:
-            q.discard(sid)
-
-
 class Planner:
     """Drives one search over one domain instance; not reusable or shareable.
 
     The public stepping methods (initialize / key / expand / improve_path /
     reconcile_queues / extract_path) mirror the phases of run() so each phase
-    can be exercised on its own.
+    can be exercised on its own. g and parent are kept for reached states
+    only, so their size follows the search, not the range of state ids.
     """
 
     def __init__(
@@ -187,9 +167,10 @@ class Planner:
         self._clock = (
             _VirtualClock(self._cfg.tick) if self._cfg.clock == "virtual" else _WallClock()
         )
-        self._g: list[float] = []
-        self._parent: list[int] = []
-        self._open = OpenQueueSet(self._n)
+        self._g: dict[int, float] = {}
+        self._parent: dict[int, int] = {}
+        # Queue 0 is the anchor.
+        self._open = [AddressableHeap() for _ in range(self._n + 1)]
         self._closed_anch: set[int] = set()
         self._closed_inad: set[int] = set()
         self._incons: set[int] = set()
@@ -215,7 +196,7 @@ class Planner:
         return self._records
 
     @property
-    def open_queues(self) -> OpenQueueSet:
+    def open_queues(self) -> list[AddressableHeap]:
         return self._open
 
     @property
@@ -231,10 +212,10 @@ class Planner:
         return self._incons
 
     def g(self, sid: int) -> float:
-        return self._g[sid] if sid < len(self._g) else INF
+        return self._g.get(sid, INF)
 
     def parent(self, sid: int) -> int:
-        return self._parent[sid] if sid < len(self._parent) else -1
+        return self._parent.get(sid, -1)
 
     # -- search phases -----------------------------------------------------
 
@@ -245,7 +226,6 @@ class Planner:
         self._w2 = 1.0 if cfg.mode in SINGLE_QUEUE_MODES else float(cfg.w2_init)
         start = self._domain.start()
         self._start = start
-        self._ensure(start)
         self._g[start] = 0
         self._parent[start] = -1
         self._goal_sid = -1
@@ -259,23 +239,25 @@ class Planner:
 
     def key(self, sid: int, i: int) -> float:
         """Queue priority g(s) + w1 * h_i(s); +inf for unreached states."""
-        g = self._g[sid] if sid < len(self._g) else INF
+        g = self._g.get(sid, INF)
         if g == INF:
             return INF
         return g + self._w1 * self._domain.heuristic(sid, i)
 
     def expand(self, sid: int, qi: int) -> None:
         """Pop a state from every queue and relax its outgoing edges."""
-        self._open.remove_everywhere(sid)
+        for q in self._open:
+            q.discard(sid)
         self.expansions_total += 1
         self.expansions_iteration += 1
         self._clock.on_expansion()
         if self._cfg.record_expansions:
             self.expansion_log[-1].append((sid, qi))
-        g_s = self._g[sid]
+        g = self._g
+        g_s = g[sid]
         for s2, c in self._domain.successors(sid):
             new_g = g_s + c
-            if new_g < self.g(s2):
+            if new_g < g.get(s2, INF):
                 self._relax(s2, sid, new_g)
         if self._cfg.check_invariants:
             self._assert_invariants()
@@ -377,15 +359,8 @@ class Planner:
 
     # -- internals -----------------------------------------------------------
 
-    def _ensure(self, sid: int) -> None:
-        g = self._g
-        while len(g) <= sid:
-            g.append(INF)
-            self._parent.append(-1)
-
     def _relax(self, sid: int, parent: int, new_g: float) -> None:
         """Apply an improving edge: update g/parent and queue per the rules."""
-        self._ensure(sid)
         self._g[sid] = new_g
         self._parent[sid] = parent
         if new_g < self._goal_g and self._domain.is_goal(sid):
@@ -447,42 +422,6 @@ class Planner:
             mi = set(self._open[i].members())
             assert mi <= m0, f"queue {i} not contained in anchor"
             assert not (mi & self._closed_inad), f"inadmissible-closed state in queue {i}"
-        for q in self._open.queues:
+        for q in self._open:
             assert not (set(q.members()) & self._closed_anch), "anchor-closed state queued"
 
-
-def _run(domain: SearchDomain, config: Optional[PlannerConfig], observer, mode: str,
-         **overrides) -> list[SolutionRecord]:
-    cfg = config or PlannerConfig()
-    cfg = replace(cfg, mode=mode, **overrides)
-    return Planner(domain, cfg, observer).run()
-
-
-def run_anytime(domain: SearchDomain, config: Optional[PlannerConfig] = None,
-                observer=None, **overrides) -> list[SolutionRecord]:
-    """Anytime multi-heuristic search: publish, anneal weights, repeat."""
-    return _run(domain, config, observer, "amha", **overrides)
-
-
-def run_mha_oneshot(domain: SearchDomain, config: Optional[PlannerConfig] = None,
-                    observer=None, **overrides) -> list[SolutionRecord]:
-    """Multi-heuristic search truncated after its first publish."""
-    return _run(domain, config, observer, "mha", **overrides)
-
-
-def run_ara(domain: SearchDomain, config: Optional[PlannerConfig] = None,
-            observer=None, **overrides) -> list[SolutionRecord]:
-    """Anytime repairing search: single queue, weight schedule on w1 only."""
-    return _run(domain, config, observer, "ara", **overrides)
-
-
-def run_wastar(domain: SearchDomain, config: Optional[PlannerConfig] = None,
-               observer=None, **overrides) -> list[SolutionRecord]:
-    """One-shot weighted A* at w1_init."""
-    return _run(domain, config, observer, "wastar", **overrides)
-
-
-def run_astar(domain: SearchDomain, config: Optional[PlannerConfig] = None,
-              observer=None, **overrides) -> list[SolutionRecord]:
-    """Plain A* (weights pinned to 1)."""
-    return _run(domain, config, observer, "astar", **overrides)

@@ -8,11 +8,11 @@ from an exhaustive reference search, never from the planner itself.
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from amhastar import Planner, PlannerConfig, run_mha_oneshot, run_wastar
+from amhastar import Planner, PlannerConfig
 from amhastar.bench import RunManifest, curve_csv, MetricsRow, run_from_manifest, run_matrix
 from amhastar.grid import LatticeDomain, OccupancyGrid, RobotFootprint
 from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
@@ -184,9 +184,10 @@ def test_oneshot_equivalence():
         first = Planner(
             TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed), cfg
         ).run()[0]
-        oneshot = run_mha_oneshot(
-            TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed), cfg
-        )
+        oneshot = Planner(
+            TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed),
+            replace(cfg, mode="mha"),
+        ).run()
         assert len(oneshot) == 1
         only = oneshot[0]
         assert (only.cost, only.path, only.expansions_total) == (
@@ -202,10 +203,14 @@ def test_wastar_degeneracy():
         board = random_solvable_board(3, 3, seed=seed)
         anchor_copy = [(0.0, 1.0, 1.0)] * 2
         cfg = PlannerConfig(w1_init=2.5, w2_init=1.0)
-        multi = run_mha_oneshot(
-            TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy), cfg
-        )
-        plain = run_wastar(TilePuzzleDomain(board, num_inadmissible=0, weights=[]), cfg)
+        multi = Planner(
+            TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy),
+            replace(cfg, mode="mha"),
+        ).run()
+        plain = Planner(
+            TilePuzzleDomain(board, num_inadmissible=0, weights=[]),
+            replace(cfg, mode="wastar"),
+        ).run()
         assert multi[0].cost == plain[0].cost, f"seed {seed}"
     ok("wastar-degeneracy")
 

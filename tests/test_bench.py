@@ -63,6 +63,53 @@ def test_manifest_text_round_trip():
     assert again == m
 
 
+# Written by `amhastar bench --config configs/tiles3-demo.cfg` (amha--i003)
+# while manifests still recorded the heap's tie order.
+LEGACY_MANIFEST = """\
+manifest_version = 1
+algo = amha
+domain = tiles
+w1 = 5.0
+w2 = 5.0
+dw1 = 2.0
+dw2 = 2.0
+time_limit = 30.0
+clock = virtual
+tick = 0.0001
+termination = per_expansion
+tie_break = high-g-low-id
+seed = 0
+board = 3 3 1 5 6 0 8 4 7 2 3
+n_heur = 2
+weight_lo = 0.0
+weight_hi = 5.0
+weights = 4.222109257625241:3.789772014701512:2.102857904154225,\
+1.2945837514648169:2.5563736068430427:2.0246706872520717
+map =
+start =
+goal =
+footprint = rect:1.2x0.8
+primitives = builtin16
+"""
+
+
+def test_legacy_manifest_with_tie_break_loads_and_replays():
+    m = RunManifest.from_text(LEGACY_MANIFEST)
+    records, _, _ = run_from_manifest(m)
+    # The curve the bench wrote for this manifest: t_s, cost, bound.
+    assert [(f"{r.elapsed:.6f}", r.cost, r.bound) for r in records] == [
+        ("0.011900", 39, 25.0), ("0.012000", 39, 9.0), ("0.023200", 23, 1.0)
+    ]
+    text = m.to_text()
+    assert "tie_break" not in text
+    # to_text writes `map = ` with a trailing blank; the copy above has none.
+    assert [ln.rstrip() for ln in text.splitlines()] == [
+        ln for ln in LEGACY_MANIFEST.splitlines() if not ln.startswith("tie_break")
+    ]
+    with pytest.raises(ValueError, match="tie_break"):
+        RunManifest.from_text(LEGACY_MANIFEST.replace("high-g-low-id", "low-g"))
+
+
 def test_manifest_rejects_unknown_keys():
     with pytest.raises(ValueError):
         RunManifest.from_text("manifest_version = 1\nbogus = 1\n")

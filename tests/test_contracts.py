@@ -1,7 +1,7 @@
 """Smaller interface contracts: validation, error propagation, observers."""
 import pytest
 
-from amhastar import Planner, PlannerConfig, StateInterner, run_anytime
+from amhastar import Planner, PlannerConfig, StateInterner
 from amhastar.domain import SearchDomain
 from amhastar.explicit import ExplicitGraphDomain
 
@@ -66,8 +66,8 @@ def test_parent_cycle_detected():
 def test_observer_sees_records_in_publish_order():
     seen = []
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = run_anytime(dom, PlannerConfig(w1_init=3.0, w2_init=2.0),
-                          observer=seen.append)
+    records = Planner(dom, PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0),
+                      observer=seen.append).run()
     assert seen == records
     assert [r.bound for r in seen] == [6.0, 2.0, 1.0]
 
@@ -75,5 +75,5 @@ def test_observer_sees_records_in_publish_order():
 def test_mha_degenerates_to_single_anchor_round_when_no_inadmissible():
     dom = ExplicitGraphDomain({"a": [("b", 1)], "b": [("c", 1)]}, "a", "c",
                               heuristics=[{}])
-    records = run_anytime(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    records = Planner(dom, PlannerConfig(mode="amha", w1_init=2.0, w2_init=2.0)).run()
     assert records[-1].cost == 2

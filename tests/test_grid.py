@@ -371,6 +371,19 @@ def test_solution_path_replays_through_primitives():
     assert total == records[-1].cost
 
 
+def test_planner_state_tables_hold_only_reached_states():
+    # 300x300 cells x 16 headings is 1.44M sids; the start sits near the far
+    # corner, so tables sized by the largest sid would hold ~1.4M entries.
+    g = OccupancyGrid.empty(300, 300)
+    dom = LatticeDomain(g, (288, 292, 0), (283, 289))
+    planner = Planner(dom, PlannerConfig(w1_init=3.0, w2_init=2.0, record_expansions=True))
+    records = planner.run()
+    assert records[-1].bound == 1.0
+    expanded = {sid for log in planner.expansion_log for sid, _ in log}
+    bound = 1 + sum(len(dom.successors(sid)) for sid in expanded)
+    assert len(planner._g) == len(planner._parent) <= bound < 10_000
+
+
 def test_start_in_collision_is_rejected():
     g = OccupancyGrid.empty(9, 9)
     g.set_obstacle(4, 4)

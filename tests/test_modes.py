@@ -1,9 +1,9 @@
 """Whole-run behavior: anytime schedules, baselines, and the guarantees."""
 import heapq
 import math
+from dataclasses import replace
 
-from amhastar import Planner, PlannerConfig, run_anytime, run_ara, run_astar, \
-    run_mha_oneshot, run_wastar
+from amhastar import Planner, PlannerConfig
 from amhastar.explicit import ExplicitGraphDomain
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board, \
     tile_successors
@@ -50,14 +50,14 @@ def dijkstra_cost(edges, start, goal):
     return INF
 
 
-# -- run_anytime ---------------------------------------------------------------
+# -- amha ----------------------------------------------------------------------
 
 
 def test_unit_weights_give_single_optimal_iteration():
     dom = grid_domain(5, 5, (0, 0), (4, 2), walls=[(2, 0), (2, 1), (2, 2)])
     optimal = dijkstra_cost(grid_graph(5, 5, walls=[(2, 0), (2, 1), (2, 2)]),
                             (0, 0), (4, 2))
-    records = run_anytime(dom, PlannerConfig(w1_init=1.0, w2_init=1.0))
+    records = Planner(dom, PlannerConfig(mode="amha", w1_init=1.0, w2_init=1.0)).run()
     assert len(records) == 1
     assert records[0].cost == optimal
     assert records[0].bound == 1.0
@@ -65,7 +65,8 @@ def test_unit_weights_give_single_optimal_iteration():
 
 def test_bound_schedule_3_2_with_unit_decrements():
     dom = grid_domain(6, 6, (0, 0), (5, 5))
-    records = run_anytime(dom, PlannerConfig(w1_init=3.0, w2_init=2.0, dw1=1.0, dw2=1.0))
+    cfg = PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0, dw1=1.0, dw2=1.0)
+    records = Planner(dom, cfg).run()
     assert [r.bound for r in records] == [6.0, 2.0, 1.0]
 
 
@@ -75,23 +76,24 @@ def test_decimal_weight_steps_do_not_drift():
     # floats nearest the written decimals.
     dom = grid_domain(6, 6, (0, 0), (5, 5))
     for w1, expected in ((1.3, [13, 12, 11, 10]), (2.0, list(range(20, 9, -1)))):
-        records = run_ara(dom, PlannerConfig(w1_init=w1, dw1=0.1))
+        records = Planner(dom, PlannerConfig(mode="ara", w1_init=w1, dw1=0.1)).run()
         assert [r.bound for r in records] == [x / 10 for x in expected]
-    records = run_anytime(dom, PlannerConfig(w1_init=1.3, w2_init=1.3, dw1=0.1, dw2=0.1))
+    cfg = PlannerConfig(mode="amha", w1_init=1.3, w2_init=1.3, dw1=0.1, dw2=0.1)
+    records = Planner(dom, cfg).run()
     assert [r.bound for r in records] == [w * w for w in (1.3, 1.2, 1.1, 1.0)]
 
 
 def test_eight_puzzle_final_record_is_optimal():
     board = random_solvable_board(3, 3, seed=11)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=11)
-    records = run_anytime(dom, PlannerConfig(w1_init=3.0, w2_init=2.0))
+    records = Planner(dom, PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0)).run()
     assert records[-1].bound == 1.0
     assert records[-1].cost == astar_manhattan_cost(board)
 
 
 def test_records_published_even_when_cost_is_unchanged():
     dom = grid_domain(4, 4, (0, 0), (3, 3))
-    records = run_anytime(dom, PlannerConfig(w1_init=2.0, w2_init=1.0, dw1=0.5))
+    records = Planner(dom, PlannerConfig(mode="amha", w1_init=2.0, w2_init=1.0, dw1=0.5)).run()
     assert [r.bound for r in records] == [2.0, 1.5, 1.0]
     assert all(a.cost >= b.cost for a, b in zip(records, records[1:]))
 
@@ -125,7 +127,7 @@ def test_time_budget_keeps_published_records():
 
 def test_ara_with_unit_weight_is_optimal():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = run_ara(dom, PlannerConfig(w1_init=1.0))
+    records = Planner(dom, PlannerConfig(mode="ara", w1_init=1.0)).run()
     assert len(records) == 1
     assert records[0].cost == 8
 
@@ -134,7 +136,7 @@ def test_ara_first_solution_within_initial_bound():
     board = random_solvable_board(3, 3, seed=3)
     dom = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
     optimal = astar_manhattan_cost(board)
-    records = run_ara(dom, PlannerConfig(w1_init=3.0, dw1=1.0))
+    records = Planner(dom, PlannerConfig(mode="ara", w1_init=3.0, dw1=1.0)).run()
     assert records[0].cost <= 3.0 * optimal
     assert records[0].bound == 3.0
     assert records[-1].cost == optimal
@@ -143,8 +145,8 @@ def test_ara_first_solution_within_initial_bound():
 def test_greedy_weight_expands_less_than_unit_weight_on_empty_grid():
     first_solution_expansions = {}
     for w1 in (10.0, 1.0):
-        records = run_ara(grid_domain(5, 5, (0, 0), (4, 4)),
-                          PlannerConfig(w1_init=w1, dw1=9.0))
+        records = Planner(grid_domain(5, 5, (0, 0), (4, 4)),
+                          PlannerConfig(mode="ara", w1_init=w1, dw1=9.0)).run()
         first_solution_expansions[w1] = records[0].expansions_total
     assert first_solution_expansions[10.0] < first_solution_expansions[1.0]
 
@@ -152,7 +154,8 @@ def test_greedy_weight_expands_less_than_unit_weight_on_empty_grid():
 def test_eight_puzzle_path_replays_through_moves():
     board = random_solvable_board(3, 3, seed=14)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=14)
-    records = run_anytime(dom, PlannerConfig(w1_init=5.0, w2_init=5.0, dw1=2.0, dw2=2.0))
+    cfg = PlannerConfig(mode="amha", w1_init=5.0, w2_init=5.0, dw1=2.0, dw2=2.0)
+    records = Planner(dom, cfg).run()
     for rec in records:
         assert len(rec.path) - 1 == rec.cost  # unit edge costs
         for a, b in zip(rec.path, rec.path[1:]):
@@ -162,8 +165,8 @@ def test_eight_puzzle_path_replays_through_moves():
 def test_oneshot_equals_first_anytime_record():
     board = random_solvable_board(3, 3, seed=21)
     cfg = PlannerConfig(w1_init=3.0, w2_init=2.0)
-    first = run_anytime(TilePuzzleDomain(board, weight_seed=21), cfg)[0]
-    only = run_mha_oneshot(TilePuzzleDomain(board, weight_seed=21), cfg)
+    first = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, mode="amha")).run()[0]
+    only = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, mode="mha")).run()
     assert len(only) == 1
     assert (only[0].cost, only[0].path, only[0].expansions_total) == (
         first.cost, first.path, first.expansions_total
@@ -173,21 +176,21 @@ def test_oneshot_equals_first_anytime_record():
 def test_oneshot_with_unit_weights_is_optimal():
     board = random_solvable_board(3, 3, seed=8)
     dom = TilePuzzleDomain(board, weight_seed=8)
-    records = run_mha_oneshot(dom, PlannerConfig(w1_init=1.0, w2_init=1.0))
+    records = Planner(dom, PlannerConfig(mode="mha", w1_init=1.0, w2_init=1.0)).run()
     assert records[0].cost == astar_manhattan_cost(board)
 
 
 def test_oneshot_publishes_exactly_one_record_with_flat_bound():
     board = random_solvable_board(3, 3, seed=9)
     dom = TilePuzzleDomain(board, weight_seed=9)
-    records = run_mha_oneshot(dom, PlannerConfig(w1_init=5.0, w2_init=5.0))
+    records = Planner(dom, PlannerConfig(mode="mha", w1_init=5.0, w2_init=5.0)).run()
     assert len(records) == 1
     assert records[0].bound == 25.0
 
 
 def test_astar_ignores_configured_weights():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = run_astar(dom, PlannerConfig(w1_init=9.0, w2_init=9.0))
+    records = Planner(dom, PlannerConfig(mode="astar", w1_init=9.0, w2_init=9.0)).run()
     assert records[0].bound == 1.0
     assert records[0].cost == 8
 
@@ -201,8 +204,8 @@ def test_wastar_degeneracy_matches_multi_heuristic_run():
         dom_mh = TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy)
         dom_wa = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
         cfg = PlannerConfig(w1_init=2.5, w2_init=1.0)
-        mh = run_mha_oneshot(dom_mh, cfg)
-        wa = run_wastar(dom_wa, cfg)
+        mh = Planner(dom_mh, replace(cfg, mode="mha")).run()
+        wa = Planner(dom_wa, replace(cfg, mode="wastar")).run()
         assert mh[0].cost == wa[0].cost
 
 

@@ -105,11 +105,12 @@ def test_expand_improvement_of_anchor_closed_state_goes_to_incons():
     planner.expand(a, 0)
     assert planner.g(d) == 10
     planner.closed_anchor.add(d)
-    planner.open_queues.remove_everywhere(d)
+    for q in planner.open_queues:
+        q.discard(d)
     planner.expand(b, 0)
     assert planner.g(d) == 8
     assert d in planner.incons
-    assert all(d not in q for q in planner.open_queues.queues)
+    assert all(d not in q for q in planner.open_queues)
 
 
 def test_expand_ignores_non_improving_edge():
@@ -191,10 +192,11 @@ def test_reconcile_moves_incons_and_mirrors_anchor():
     planner.initialize()
     a, b, c = (dom.id_of(n) for n in "abc")
     planner.expand(a, 0)
-    planner.open_queues.remove_everywhere(c)
+    for q in planner.open_queues:
+        q.discard(c)
     planner.incons.add(c)
     planner.reconcile_queues()
-    for q in planner.open_queues.queues:
+    for q in planner.open_queues:
         assert set(q.members()) == {b, c}
     assert not planner.incons
 
@@ -203,9 +205,10 @@ def test_reconcile_of_empty_queues_is_empty():
     dom = ExplicitGraphDomain({"a": []}, "a", "a", heuristics=[{}])
     planner = Planner(dom, PlannerConfig())
     planner.initialize()
-    planner.open_queues.remove_everywhere(dom.id_of("a"))
+    for q in planner.open_queues:
+        q.discard(dom.id_of("a"))
     planner.reconcile_queues()
-    assert all(len(q) == 0 for q in planner.open_queues.queues)
+    assert all(len(q) == 0 for q in planner.open_queues)
 
 
 def test_reconcile_rekeys_with_new_weight():

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from amhastar import PlannerConfig, run_anytime
+from amhastar import Planner, PlannerConfig
 from amhastar.tiles import (
     TileBoard,
     TilePuzzleDomain,
@@ -216,7 +216,7 @@ def test_generated_boards_solve_to_goal():
     for seed in range(4):
         board = random_solvable_board(3, 3, seed=seed)
         dom = TilePuzzleDomain(board, num_inadmissible=1, weight_seed=seed)
-        records = run_anytime(dom, PlannerConfig(w1_init=1.0, w2_init=1.0))
+        records = Planner(dom, PlannerConfig(mode="amha", w1_init=1.0, w2_init=1.0)).run()
         assert records and records[-1].bound == 1.0
         depths = bfs_depths(board)
         assert records[-1].cost == depths[goal_board(3, 3).tiles]
