@@ -18,6 +18,12 @@ offsets from the pose's padded index. A primitive is then clear when
 `buf.find(1, base + start, base + end)` finds nothing for each of its runs.
 The heuristic fields are `array('d')` indexed by the cell index
 `sid // num_headings`.
+
+What depends only on the map is cached per map content (width, height,
+resolution and cells, not the grid object): the clearance field and, per
+blocking radius, the blocked-cell mask, padded by one blocked cell on every
+side. Each goal's Dijkstra fields are swept on that padded mask, so a
+neighbour needs no bounds test.
 """
 from __future__ import annotations
 
@@ -64,8 +70,8 @@ class OccupancyGrid:
     def __init__(self, width: int, height: int, resolution: float, cells: bytearray) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("grid dimensions must be positive")
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < INF:
+            raise ValueError("resolution must be positive and finite")
         if len(cells) != width * height:
             raise ValueError("cell buffer size mismatch")
         self.width = width
@@ -80,8 +86,14 @@ class OccupancyGrid:
     @classmethod
     def parse(cls, text: str) -> "OccupancyGrid":
         lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split()
-        w, h, res = int(header[0]), int(header[1]), float(header[2])
+        header = lines[0] if lines else ""
+        try:
+            w_s, h_s, res_s = header.split()
+            w, h, res = int(w_s), int(h_s), float(res_s)
+        except ValueError:
+            raise ValueError(
+                f"bad map header {header!r}: expected `width height resolution`"
+            ) from None
         if len(lines) != h + 1:
             raise ValueError(f"expected {h} map rows, found {len(lines) - 1}")
         cells = bytearray(w * h)
@@ -359,16 +371,6 @@ def _builtin_primitives(num_headings: int) -> tuple[MotionPrimitive, ...]:
     return tuple(default_primitive_set(num_headings))
 
 
-def save_primitives(prims: Sequence[MotionPrimitive], num_headings: int, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"headings {num_headings} cost_scale 1000\n")
-        for p in prims:
-            fields = [str(p.theta_start), str(p.theta_end), str(p.cost_milli), str(len(p.poses))]
-            for x, y, t in p.poses:
-                fields.extend((str(x), str(y), str(t)))
-            fh.write(" ".join(fields) + "\n")
-
-
 def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
     with open(path) as fh:
         header = fh.readline().split()
@@ -428,53 +430,79 @@ def clearance_field(grid: OccupancyGrid) -> list[float]:
     return dist
 
 
+@functools.lru_cache(maxsize=4)
+def _map_clearance(width: int, height: int, resolution: float, cells: bytes) -> array:
+    """`clearance_field` of the map with this content, computed once per map."""
+    grid = OccupancyGrid(width, height, resolution, bytearray(cells))
+    return array("d", clearance_field(grid))
+
+
+@functools.lru_cache(maxsize=12)
+def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
+                  radius: float) -> bytes:
+    """Cells that are obstacles or have clearance <= radius, as a flat mask
+    with stride `width + 2`, padded by one blocked cell on every side."""
+    clearance = _map_clearance(width, height, resolution, cells)
+    stride = width + 2
+    mask = bytearray(b"\x01") * (stride * (height + 2))
+    for y in range(height):
+        row = (y + 1) * stride + 1
+        mask[row:row + width] = bytes(
+            cells[idx] or clearance[idx] <= radius
+            for idx in range(y * width, (y + 1) * width)
+        )
+    return bytes(mask)
+
+
 def dijkstra_field(
     grid: OccupancyGrid,
     goal: tuple[int, int],
     block_radius: float = 0.0,
-    clearance: Optional[list[float]] = None,
 ) -> list[float]:
     """Backward 8-connected cost-to-goal field in milli-meters.
 
     Cells whose obstacle clearance is <= block_radius are treated as blocked
     before the sweep; unreachable cells hold +inf. A blocked goal yields an
     all-inf field with a warning (callers fall back to the metric heuristic).
+
+    The sweep runs on the map's cached padded mask (`_blocked_mask`), so a
+    neighbour off the map reads as blocked without a bounds test. Padded
+    indices rise with `y * width + x`, so heap ties pop in the same order
+    as on the unpadded grid and the field values are the same floats.
     """
     w, h, res = grid.width, grid.height, grid.resolution
-    if clearance is None:
-        clearance = clearance_field(grid)
-    blocked = bytearray(w * h)
-    for idx in range(w * h):
-        if grid.cells[idx] or clearance[idx] <= block_radius:
-            blocked[idx] = 1
-    field = [INF] * (w * h)
+    blocked = _blocked_mask(w, h, res, bytes(grid.cells), block_radius)
+    stride = w + 2
     gx, gy = goal
-    if not grid.in_bounds(gx, gy) or blocked[gy * w + gx]:
+    if not grid.in_bounds(gx, gy) or blocked[(gy + 1) * stride + gx + 1]:
         warnings.warn(
             f"field goal {goal} blocked at radius {block_radius}; field is all-inf",
             stacklevel=2,
         )
-        return field
+        return [INF] * (w * h)
     straight = 1000.0 * res
     diagonal = straight * math.sqrt(2)
-    start_idx = gy * w + gx
+    steps = tuple((dy * stride + dx, diagonal if dx and dy else straight) for dx, dy in DIRS8)
+    field = [INF] * len(blocked)
+    start_idx = (gy + 1) * stride + gx + 1
     field[start_idx] = 0.0
     heap = [(0.0, start_idx)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, idx = heapq.heappop(heap)
+        d, idx = pop(heap)
         if d > field[idx]:
             continue
-        x, y = idx % w, idx // w
-        for dx, dy in DIRS8:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < w and 0 <= ny < h:
-                nidx = ny * w + nx
-                if not blocked[nidx]:
-                    nd = d + (diagonal if dx and dy else straight)
-                    if nd < field[nidx]:
-                        field[nidx] = nd
-                        heapq.heappush(heap, (nd, nidx))
-    return field
+        for off, step in steps:
+            n = idx + off
+            if not blocked[n]:
+                nd = d + step
+                if nd < field[n]:
+                    field[n] = nd
+                    push(heap, (nd, n))
+    out: list[float] = []
+    for y in range(1, h + 1):
+        out += field[y * stride + 1:y * stride + 1 + w]
+    return out
 
 
 # -- the domain ----------------------------------------------------------------
@@ -519,6 +547,9 @@ class LatticeDomain(SearchDomain):
     Collision checks read a padded snapshot of the map taken at
     construction: later `grid.set_obstacle` calls are not seen, as they are
     not seen by the successor cache either.
+
+    `clearance` is the per-map cached clearance field, shared by every
+    domain built on a map with the same content: treat it as read-only.
     """
 
     num_inadmissible = 3
@@ -579,16 +610,13 @@ class LatticeDomain(SearchDomain):
             raise ValueError("start heading outside the configured fan")
         if self._pose_collides(sx, sy, st):
             raise ValueError(f"start pose {start_pose} is in collision")
-        # The sweeps read the list (indexing an array boxes a new float);
-        # the domain keeps arrays, a quarter the size of lists of floats.
-        clearance = clearance_field(grid)
+        # The sweeps fill lists (indexing an array boxes a new float); the
+        # domain keeps arrays, a quarter the size of lists of floats.
         radii = (0.0, self.footprint.inscribed_radius, self.footprint.circumscribed_radius)
         self.block_radii = radii
-        self.fields = [
-            array("d", dijkstra_field(grid, self.goal_cell, r, clearance=clearance))
-            for r in radii
-        ]
-        self.clearance = array("d", clearance)
+        self.fields = [array("d", dijkstra_field(grid, self.goal_cell, r)) for r in radii]
+        self.clearance = _map_clearance(grid.width, grid.height, grid.resolution,
+                                        bytes(grid.cells))
         self.fallback_lookups = 0
         self._w = w
         self._start_sid = self._intern(sx, sy, st)

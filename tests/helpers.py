@@ -1,9 +1,13 @@
-"""Shared builders for planner tests: small grids as explicit graphs."""
+"""Shared test code: small grids as explicit graphs, the reference field
+sweep, and a primitive-file writer."""
 from __future__ import annotations
 
+import heapq
 import math
+import warnings
 
 from amhastar.explicit import ExplicitGraphDomain
+from amhastar.grid import DIRS8, INF
 
 
 def grid_graph(width, height, walls=()):
@@ -33,3 +37,52 @@ def grid_domain(width, height, start, goal, walls=(), n_inadmissible=1, inad_sca
         scale = inad_scale + i
         tables.append({n: scale * (abs(n[0] - gx) + abs(n[1] - gy)) for n in edges})
     return ExplicitGraphDomain(edges, start, goal, heuristics=tables)
+
+
+def reference_dijkstra_field(grid, goal, block_radius, clearance):
+    """The bounds-tested Dijkstra sweep over an unpadded grid, kept as the
+    reference that `grid.dijkstra_field` must match float for float."""
+    w, h, res = grid.width, grid.height, grid.resolution
+    blocked = bytearray(w * h)
+    for idx in range(w * h):
+        if grid.cells[idx] or clearance[idx] <= block_radius:
+            blocked[idx] = 1
+    field = [INF] * (w * h)
+    gx, gy = goal
+    if not grid.in_bounds(gx, gy) or blocked[gy * w + gx]:
+        warnings.warn(
+            f"field goal {goal} blocked at radius {block_radius}; field is all-inf",
+            stacklevel=2,
+        )
+        return field
+    straight = 1000.0 * res
+    diagonal = straight * math.sqrt(2)
+    start_idx = gy * w + gx
+    field[start_idx] = 0.0
+    heap = [(0.0, start_idx)]
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if d > field[idx]:
+            continue
+        x, y = idx % w, idx // w
+        for dx, dy in DIRS8:
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < w and 0 <= ny < h:
+                nidx = ny * w + nx
+                if not blocked[nidx]:
+                    nd = d + (diagonal if dx and dy else straight)
+                    if nd < field[nidx]:
+                        field[nidx] = nd
+                        heapq.heappush(heap, (nd, nidx))
+    return field
+
+
+def save_primitives(prims, num_headings, path):
+    """Write primitives in the `.mprim` format that `grid.load_primitives` reads."""
+    with open(path, "w") as fh:
+        fh.write(f"headings {num_headings} cost_scale 1000\n")
+        for p in prims:
+            fields = [str(p.theta_start), str(p.theta_end), str(p.cost_milli), str(len(p.poses))]
+            for x, y, t in p.poses:
+                fields.extend((str(x), str(y), str(t)))
+            fh.write(" ".join(fields) + "\n")

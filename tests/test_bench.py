@@ -232,7 +232,8 @@ def test_verify_manifest_passes_for_honest_run():
 
 
 def test_grid_manifest_with_primitive_file(tmp_path):
-    from amhastar.grid import OccupancyGrid, default_primitive_set, save_primitives
+    from amhastar.grid import OccupancyGrid, default_primitive_set
+    from helpers import save_primitives
 
     map_path = tmp_path / "m.map"
     map_path.write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())

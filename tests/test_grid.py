@@ -1,12 +1,14 @@
 """Grid domain: maps, primitives, footprints, fields, and the full lattice."""
 import math
 import random
+import re
 import warnings
 from array import array
 
 import pytest
 
 from amhastar import Planner, PlannerConfig
+from amhastar import grid as grid_mod
 from amhastar.grid import (
     DIRS16,
     LatticeDomain,
@@ -22,9 +24,9 @@ from amhastar.grid import (
     heading_vector,
     load_primitives,
     load_scenario,
-    save_primitives,
 )
 from amhastar.oracle import octile_distance, uniform_cost_optimal
+from helpers import reference_dijkstra_field, save_primitives
 
 INF = math.inf
 SMALL = RobotFootprint.rectangle(0.6, 0.4)
@@ -53,6 +55,19 @@ def test_map_parse_rejects_bad_rows():
         OccupancyGrid.parse("3 2 1.0\n...\n..\n")
     with pytest.raises(ValueError):
         OccupancyGrid.parse("3 1 1.0\n.x.\n")
+
+
+@pytest.mark.parametrize("text", ["", "4 4\n....\n", "4 four 1.0\n....\n"])
+def test_map_parse_rejects_bad_header(text):
+    header = text.splitlines()[0] if text else ""
+    with pytest.raises(ValueError, match=re.escape(f"bad map header {header!r}")):
+        OccupancyGrid.parse(text)
+
+
+@pytest.mark.parametrize("res", ["0", "-1", "nan", "inf"])
+def test_map_parse_rejects_bad_resolution(res):
+    with pytest.raises(ValueError, match="resolution"):
+        OccupancyGrid.parse(f"3 1 {res}\n...\n")
 
 
 def test_out_of_bounds_is_obstacle():
@@ -234,7 +249,7 @@ def test_blocked_goal_warns_and_returns_all_inf():
 def test_monotone_blocking():
     g = OccupancyGrid.load(shipped("maps/yard30.map"))
     clearance = clearance_field(g)
-    fields = [dijkstra_field(g, (3, 15), r, clearance=clearance) for r in (0.0, 0.4, 0.8)]
+    fields = [dijkstra_field(g, (3, 15), r) for r in (0.0, 0.4, 0.8)]
     for lo, hi in zip(fields, fields[1:]):
         for a, b in zip(lo, hi):
             if a != INF and b != INF:
@@ -245,7 +260,7 @@ def test_field_satisfies_relaxation_on_its_own_grid():
     g = OccupancyGrid.load(shipped("maps/yard30.map"))
     clearance = clearance_field(g)
     block = 0.5
-    field = dijkstra_field(g, (26, 15), block, clearance=clearance)
+    field = dijkstra_field(g, (26, 15), block)
     straight = 1000.0 * g.resolution
     diagonal = straight * math.sqrt(2)
     for y in range(g.height):
@@ -262,6 +277,112 @@ def test_field_satisfies_relaxation_on_its_own_grid():
                         continue
                     cost = diagonal if dx and dy else straight
                     assert u <= v + cost + 1e-9
+
+
+def _random_field_grid(rng, width, height, resolution):
+    """Obstacles dense on the border ring, sparse inside."""
+    g = OccupancyGrid.empty(width, height, resolution)
+    for y in range(height):
+        for x in range(width):
+            border = x in (0, width - 1) or y in (0, height - 1)
+            if rng.random() < (0.5 if border else 0.15):
+                g.set_obstacle(x, y)
+    return g
+
+
+def _field_grids():
+    rng = random.Random(7)
+    for name in ("maps/rooms40.map", "maps/yard30.map"):
+        shipped_grid = OccupancyGrid.load(shipped(name))
+        for res in (0.25, 0.5, 1.0):
+            yield OccupancyGrid(shipped_grid.width, shipped_grid.height, res,
+                                bytearray(shipped_grid.cells))
+    for width, height in ((9, 7), (16, 11), (1, 6), (5, 1), (2, 2)):
+        for res in (0.25, 0.5, 1.0):
+            yield _random_field_grid(rng, width, height, res)
+
+
+def _field_goals(g, rng):
+    w, h = g.width, g.height
+    goals = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1), (-1, 0), (w, h - 1)]
+    for _ in range(2):
+        goals += [(rng.randrange(w), 0), (rng.randrange(w), h - 1),
+                  (0, rng.randrange(h)), (w - 1, rng.randrange(h)),
+                  (rng.randrange(w), rng.randrange(h))]
+    free = [(x, y) for y in range(h) for x in range(w) if not g.is_obstacle(x, y)]
+    goals += rng.sample(free, min(2, len(free)))
+    return goals
+
+
+def test_field_equals_reference_sweep_exactly():
+    rng = random.Random(11)
+    robot = RobotFootprint.rectangle(1.2, 0.8)
+    radii = (0.0, robot.inscribed_radius, robot.circumscribed_radius, 1.5)
+    swept = blocked = 0
+    for g in _field_grids():
+        clearance = clearance_field(g)
+        for goal in _field_goals(g, rng):
+            for r in radii:
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    field = dijkstra_field(g, goal, r)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    expected = reference_dijkstra_field(g, goal, r, clearance)
+                assert field == expected, (g.width, g.height, g.resolution, goal, r)
+                assert [str(w.message) for w in got] == [str(w.message) for w in want]
+                if want:
+                    blocked += 1
+                    assert all(v == INF for v in field)
+                else:
+                    swept += 1
+    assert swept > 100 and blocked > 100
+
+
+def _count_clearance_calls(monkeypatch):
+    grid_mod._map_clearance.cache_clear()
+    grid_mod._blocked_mask.cache_clear()
+    calls = []
+    real = grid_mod.clearance_field
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(grid_mod, "clearance_field", counted)
+    return calls
+
+
+def test_map_cache_is_keyed_on_content(monkeypatch):
+    calls = _count_clearance_calls(monkeypatch)
+    path = shipped("maps/open20.map")
+    dom1 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
+    dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
+    assert len(calls) == 1
+    assert dom2.clearance is dom1.clearance
+    assert dom2.fields == dom1.fields
+    changed = OccupancyGrid.load(path)
+    changed.set_obstacle(10, 17)
+    LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
+    assert len(calls) == 2
+    assert grid_mod._map_clearance.cache_info().maxsize is not None
+    assert grid_mod._blocked_mask.cache_info().maxsize is not None
+
+
+def test_fields_see_obstacles_set_after_a_build(monkeypatch):
+    calls = _count_clearance_calls(monkeypatch)
+    g = OccupancyGrid.load(shipped("maps/open20.map"))
+    before = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
+    cell = 8 * g.width + 9
+    assert all(f[cell] < INF for f in before.fields)
+    g.set_obstacle(9, 8)
+    after = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
+    assert len(calls) == 2
+    assert all(f[cell] == INF for f in after.fields)
+    assert after.clearance[cell] == 0.0
+    clearance = clearance_field(g)
+    for r, field in zip(after.block_radii, after.fields):
+        assert list(field) == reference_dijkstra_field(g, (15, 12), r, clearance)
 
 
 # -- the lattice domain -------------------------------------------------------------
@@ -507,7 +628,7 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
     radii = (0.0, footprint.inscribed_radius, footprint.circumscribed_radius)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fields = [dijkstra_field(grid, goal, r, clearance=clearance) for r in radii]
+        fields = [dijkstra_field(grid, goal, r) for r in radii]
     assert all(type(f) is list for f in [clearance] + fields)
     assert all(type(f) is array for f in [dom.clearance] + dom.fields)
     gx, gy = goal
