@@ -64,6 +64,11 @@ def heading_angle(num_headings: int, theta: int) -> float:
     return math.atan2(dy, dx)
 
 
+def _line_error(lineno: int, problem: str) -> ValueError:
+    """A parse error that names the 1-based line of the input it is about."""
+    return ValueError(f"line {lineno}: {problem}")
+
+
 class OccupancyGrid:
     """Rectangular cell grid; '.' free, '#' obstacle, out of bounds obstacle."""
 
@@ -85,26 +90,26 @@ class OccupancyGrid:
 
     @classmethod
     def parse(cls, text: str) -> "OccupancyGrid":
-        lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-        header = lines[0] if lines else ""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        n, header = lines[0] if lines else (1, "")
         try:
             w_s, h_s, res_s = header.split()
             w, h, res = int(w_s), int(h_s), float(res_s)
         except ValueError:
-            raise ValueError(
-                f"bad map header {header!r}: expected `width height resolution`"
+            raise _line_error(
+                n, f"bad map header {header!r}: expected `width height resolution`"
             ) from None
         if len(lines) != h + 1:
             raise ValueError(f"expected {h} map rows, found {len(lines) - 1}")
         cells = bytearray(w * h)
-        for y, row in enumerate(lines[1:]):
+        for y, (n, row) in enumerate(lines[1:]):
             if len(row) != w:
-                raise ValueError(f"map row {y} has width {len(row)}, expected {w}")
+                raise _line_error(n, f"map row {y} has width {len(row)}, expected {w}")
             for x, ch in enumerate(row):
                 if ch == "#":
                     cells[y * w + x] = 1
                 elif ch != ".":
-                    raise ValueError(f"unexpected map character {ch!r}")
+                    raise _line_error(n, f"unexpected map character {ch!r}")
         return cls(w, h, res, cells)
 
     @classmethod
@@ -372,24 +377,38 @@ def _builtin_primitives(num_headings: int) -> tuple[MotionPrimitive, ...]:
 
 
 def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
+    """Read a `.mprim` file: a `headings N cost_scale 1000` line, then one
+    `theta_start theta_end cost_milli k` line per primitive followed by its
+    k swept poses as `x y theta` triples."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "headings" or header[2] != "cost_scale":
-            raise ValueError("bad primitive file header")
+        if (len(header) != 4 or header[0] != "headings" or header[2] != "cost_scale"
+                or not header[1].isdigit() or not header[3].isdigit()):
+            raise _line_error(1, f"bad primitive file header {' '.join(header)!r}: "
+                                 "expected `headings N cost_scale 1000`")
         num_headings = int(header[1])
         if int(header[3]) != 1000:
-            raise ValueError("only cost_scale 1000 is supported")
+            raise _line_error(1, "only cost_scale 1000 is supported")
         prims = []
-        for line in fh:
+        for n, line in enumerate(fh, 2):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            ts, te, cost, k = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-            vals = [int(v) for v in parts[4:]]
+            if len(parts) < 4:
+                raise _line_error(n, f"primitive line has {len(parts)} fields, "
+                                     "expected `theta_start theta_end cost_milli k` and poses")
+            try:
+                ts, te, cost, k, *vals = map(int, parts)
+            except ValueError:
+                raise _line_error(n, f"non-integer field in {line.strip()!r}") from None
             if len(vals) != 3 * k:
-                raise ValueError(f"primitive line expects {3 * k} pose fields")
+                raise _line_error(n, f"primitive line expects {3 * k} pose fields, "
+                                     f"found {len(vals)}")
             poses = tuple((vals[3 * i], vals[3 * i + 1], vals[3 * i + 2]) for i in range(k))
-            prims.append(MotionPrimitive(ts, te, cost, poses))
+            try:
+                prims.append(MotionPrimitive(ts, te, cost, poses))
+            except ValueError as err:
+                raise _line_error(n, str(err)) from None
     return prims, num_headings
 
 

@@ -1,76 +1,84 @@
-"""Addressable binary min-heap used for the planner open lists."""
+"""Addressable min-heap used for the planner open lists."""
 from __future__ import annotations
 
-import math
+from heapq import heapify, heappop, heappush
+from math import inf as INF
 
-INF = math.inf
+_COMPACT_FACTOR = 2
+_COMPACT_SLACK = 64
 
 
 class AddressableHeap:
-    """Binary min-heap over integer state ids with handle-addressed updates.
+    """Lazy-deletion min-heap over integer state ids, built on `heapq`.
 
     Entries are ordered by (key, -g, id): ties on key prefer the larger g,
-    then the smaller id, so the minimum is always unique and expansion order
-    is deterministic. insert_or_update, discard and pop are O(log n) through
-    a position map; min_key/top are O(1). min_key of an empty heap is +inf.
+    then the smaller id, so the minimum is unique and expansion order is
+    deterministic. Keys must not be NaN; an empty heap's min_key is +inf.
+
+    `_heap` is a heapq list of (key, -g, id) tuples; `_live` maps each queued
+    id to its one live tuple. discard only drops the id from `_live`, and an
+    update pushes a new tuple; min_key and top pop stale tuples off the top.
+    Liveness is one pointer compare: a tuple is live only if `_live` holds
+    that very object (`is`). A stale tuple equal to the live one, as left by
+    a discard and a re-insert at the same key and g, is popped like any other.
+    The live tuples are `_live.values()` with a unique minimum: the order of
+    an eager heap.
+
+    The planner discards each expanded id from every queue, so stale tuples
+    pile up below the top. A push that makes the list longer than
+    `_COMPACT_FACTOR * len(live) + _COMPACT_SLACK` re-heapifies the live
+    tuples, so memory stays linear in the live count; the O(n) rebuild is
+    paid for by the pushes before it, and the slack spares small queues.
     """
 
-    __slots__ = ("_heap", "_pos")
+    __slots__ = ("_heap", "_live")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, float, int]] = []
-        self._pos: dict[int, int] = {}
+        self._live: dict[int, tuple[float, float, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._live)
 
     def __contains__(self, sid: int) -> bool:
-        return sid in self._pos
+        return sid in self._live
 
     def members(self):
         """Ids currently queued, in no particular order."""
-        return self._pos.keys()
+        return self._live.keys()
 
     def min_key(self) -> float:
-        return self._heap[0][0] if self._heap else INF
+        heap, live = self._heap, self._live
+        while heap and live.get(heap[0][2]) is not heap[0]:
+            heappop(heap)
+        return heap[0][0] if heap else INF
 
     def top(self) -> int:
-        if not self._heap:
+        heap, live = self._heap, self._live
+        while heap and live.get(heap[0][2]) is not heap[0]:
+            heappop(heap)
+        if not heap:
             raise IndexError("top of empty heap")
-        return self._heap[0][2]
+        return heap[0][2]
 
     def key_of(self, sid: int) -> float:
         """Stored key for a queued id (KeyError if absent)."""
-        return self._heap[self._pos[sid]][0]
+        return self._live[sid][0]
 
     def insert_or_update(self, sid: int, key: float, g: float) -> None:
         entry = (key, -g, sid)
-        i = self._pos.get(sid)
-        if i is None:
-            self._heap.append(entry)
-            self._pos[sid] = len(self._heap) - 1
-            self._sift_up(len(self._heap) - 1)
+        live = self._live
+        if live.get(sid) == entry:
             return
-        old = self._heap[i]
-        if entry == old:
-            return
-        self._heap[i] = entry
-        if entry < old:
-            self._sift_up(i)
-        else:
-            self._sift_down(i)
+        live[sid] = entry
+        heappush(self._heap, entry)
+        if len(self._heap) > _COMPACT_FACTOR * len(live) + _COMPACT_SLACK:
+            self._heap = list(live.values())
+            heapify(self._heap)
 
     def discard(self, sid: int) -> None:
         """Remove an id if present; no-op otherwise."""
-        i = self._pos.pop(sid, None)
-        if i is None:
-            return
-        last = self._heap.pop()
-        if i < len(self._heap):
-            self._heap[i] = last
-            self._pos[last[2]] = i
-            self._sift_down(i)
-            self._sift_up(i)
+        self._live.pop(sid, None)
 
     def pop(self) -> int:
         sid = self.top()
@@ -79,44 +87,6 @@ class AddressableHeap:
 
     def rebuild(self, entries) -> None:
         """Replace all contents with (sid, key, g) triples and heapify."""
-        self._heap = [(key, -g, sid) for (sid, key, g) in entries]
-        self._pos = {e[2]: i for i, e in enumerate(self._heap)}
-        for i in range(len(self._heap) // 2 - 1, -1, -1):
-            self._sift_down(i)
-
-    def _sift_up(self, i: int) -> None:
-        heap = self._heap
-        pos = self._pos
-        entry = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            above = heap[parent]
-            if entry < above:
-                heap[i] = above
-                pos[above[2]] = i
-                i = parent
-            else:
-                break
-        heap[i] = entry
-        pos[entry[2]] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap = self._heap
-        pos = self._pos
-        n = len(heap)
-        entry = heap[i]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and heap[right] < heap[child]:
-                child = right
-            if heap[child] < entry:
-                heap[i] = heap[child]
-                pos[heap[child][2]] = i
-                i = child
-            else:
-                break
-        heap[i] = entry
-        pos[entry[2]] = i
+        self._live = {sid: (key, -g, sid) for (sid, key, g) in entries}
+        self._heap = list(self._live.values())
+        heapify(self._heap)

@@ -53,7 +53,10 @@ class PlannerConfig:
     seconds advancing by `tick` per expansion).
     termination_check 'per_expansion' re-tests the exit condition before
     every expansion; 'per_round' only between rounds, as in the one-test-per-
-    round formulation.
+    round formulation. check_invariants asserts the queue invariants and
+    raises ValueError when the domain breaks its contract (edge costs not
+    positive integers, a heuristic < 0, +inf in the anchor, or nonzero at a
+    goal); a NaN heuristic raises ValueError with or without it.
     """
 
     w1_init: float = 1.0
@@ -104,6 +107,10 @@ def _scheduled_weight(w_init: float, dw: float, k: int) -> float:
     Schedules exact in binary (12.5 by 5.75) come out unchanged.
     """
     return max(float(Decimal(repr(w_init)) - k * Decimal(repr(dw))), 1.0)
+
+
+def _nan_key(sid: int, i: int) -> ValueError:
+    return ValueError(f"heuristic {i} of state {sid} is NaN: queue {i} has no order")
 
 
 class _WallClock:
@@ -233,8 +240,13 @@ class Planner:
         if self._domain.is_goal(start):
             self._goal_sid = start
             self._goal_g = 0
+        if cfg.check_invariants:
+            self._check_contract(start)
         for i in range(self._n + 1):
-            self._open[i].insert_or_update(start, self.key(start, i), 0)
+            k = self.key(start, i)
+            if k != k:
+                raise _nan_key(start, i)
+            self._open[i].insert_or_update(start, k, 0)
         self._clock.start()
 
     def key(self, sid: int, i: int) -> float:
@@ -261,6 +273,10 @@ class Planner:
                 self._relax(s2, sid, new_g)
         if self._cfg.check_invariants:
             self._assert_invariants()
+            for s2, c in self._domain.successors(sid):
+                if not (isinstance(c, int) and c > 0):
+                    raise ValueError(f"edge {sid} -> {s2} costs {c!r}, not a positive integer")
+                self._check_contract(s2)
 
     def improve_path(self) -> Outcome:
         """Expand until g(goal) is within w2 of the anchor min, or give up.
@@ -304,11 +320,13 @@ class Planner:
         """Fold INCONS into the anchor, mirror it everywhere, re-key at new w1."""
         members = sorted(set(self._open[0].members()) | self._incons)
         self._incons.clear()
+        g, w1, h = self._g, self._w1, self._domain.heuristic
         for i in range(self._n + 1):
-            self._open[i].rebuild(
-                (sid, self._g[sid] + self._w1 * self._domain.heuristic(sid, i), self._g[sid])
-                for sid in members
-            )
+            entries = [(sid, g[sid] + w1 * h(sid, i), g[sid]) for sid in members]
+            for sid, k, _ in entries:
+                if k != k:
+                    raise _nan_key(sid, i)
+            self._open[i].rebuild(entries)
 
     def extract_path(self, sid: Optional[int] = None) -> list[int]:
         """Back-pointer walk from a reached state to the start, reversed."""
@@ -372,6 +390,8 @@ class Planner:
                 return
             self._closed_anch.discard(sid)
         k0 = new_g + self._w1 * self._domain.heuristic(sid, 0)
+        if k0 != k0:
+            raise _nan_key(sid, 0)
         self._open[0].insert_or_update(sid, k0, new_g)
         if sid not in self._closed_inad:
             w2k0 = self._w2 * k0
@@ -379,6 +399,8 @@ class Planner:
                 kj = new_g + self._w1 * self._domain.heuristic(sid, j)
                 if kj <= w2k0:
                     self._open[j].insert_or_update(sid, kj, new_g)
+                elif kj != kj:
+                    raise _nan_key(sid, j)
 
     def _tighten_goal_chain(self) -> None:
         """Re-relax the goal's parent chain so g(goal) equals its edge sum.
@@ -408,6 +430,14 @@ class Planner:
         self._records.append(rec)
         if self._observer is not None:
             self._observer(rec)
+
+    def _check_contract(self, sid: int) -> None:
+        """Heuristics of a keyed state: >= 0, finite for the anchor, 0 at a goal."""
+        goal = self._domain.is_goal(sid)
+        for i in range(self._n + 1):
+            h = self._domain.heuristic(sid, i)
+            if not h >= 0 or (i == 0 and h == INF) or (goal and h != 0):
+                raise ValueError(f"heuristic {i} of state {sid} is {h!r}")
 
     def _assert_guard(self, sid: int, i: int) -> None:
         stored = self._open[i].key_of(sid)

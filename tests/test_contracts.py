@@ -77,3 +77,76 @@ def test_mha_degenerates_to_single_anchor_round_when_no_inadmissible():
                               heuristics=[{}])
     records = Planner(dom, PlannerConfig(mode="amha", w1_init=2.0, w2_init=2.0)).run()
     assert records[-1].cost == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("heuristics, solves", [
+    ([{"a": NAN}, {}], False),
+    ([{"b": NAN}, {}], False),
+    ([{}, {"b": NAN}], False),   # fails the w2 filter; mha never reconciles
+    ([{}, {"b": INF}], True),    # +inf is a valid inadmissible value
+], ids=["start", "anchor", "inadmissible", "inadmissible-inf"])
+def test_nan_heuristic_is_rejected_and_inf_inadmissible_solves(heuristics, solves):
+    dom = ExplicitGraphDomain({"a": [("b", 1), ("c", 5)], "b": [("c", 1)]}, "a", "c",
+                              heuristics=heuristics)
+    for mode in ("amha", "mha"):
+        for check in (False, True):
+            planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0, dw1=0.5, dw2=0.5,
+                                                 mode=mode, check_invariants=check))
+            if solves:
+                records = planner.run()
+                assert records and records[-1].cost <= 2 * records[-1].bound
+            else:
+                with pytest.raises(ValueError, match="(?i)nan"):
+                    planner.run()
+
+
+def test_reconcile_rejects_a_nan_key():
+    dom = ExplicitGraphDomain({"a": [("b", 1)], "b": [("c", 1)]}, "a", "c",
+                              heuristics=[{}, {}])
+    planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    planner.initialize()
+    planner.expand(dom.start(), 0)
+    dom.heuristic = lambda sid, i: NAN if i == 1 else 0.0
+    with pytest.raises(ValueError, match=f"heuristic 1 of state {dom.id_of('b')} is NaN"):
+        planner.reconcile_queues()
+
+
+class _Line(SearchDomain):
+    """States 0..len(costs) in a line, edge k -> k+1 costing costs[k]."""
+
+    def __init__(self, costs, heuristics):
+        self.costs, self.h = costs, heuristics
+        self.num_inadmissible = len(heuristics) - 1
+
+    def start(self):
+        return 0
+
+    def is_goal(self, sid):
+        return sid == len(self.costs)
+
+    def successors(self, sid):
+        return ((sid + 1, self.costs[sid]),) if sid < len(self.costs) else ()
+
+    def heuristic(self, sid, i):
+        return self.h[i].get(sid, 0)
+
+
+@pytest.mark.parametrize("costs, heuristics, match", [
+    ((1, 0), [{}], "edge 1 -> 2 costs 0"),
+    ((1, 1.5), [{}], "edge 1 -> 2 costs 1.5"),
+    ((1, -1), [{}], "edge 1 -> 2 costs -1"),
+    ((1, 1), [{1: -1}], "heuristic 0 of state 1 is -1"),
+    ((1, 1), [{1: INF}], "heuristic 0 of state 1 is inf"),
+    ((1, 1), [{2: 5}], "heuristic 0 of state 2 is 5"),
+    ((1, 1), [{}, {2: 5}], "heuristic 1 of state 2 is 5"),
+    ((1, 1), [{}, {1: -0.5}], "heuristic 1 of state 1 is -0.5"),
+    ((), [{0: 3}], "heuristic 0 of state 0 is 3"),
+], ids=["zero-cost", "fractional-cost", "negative-cost", "negative-h0", "infinite-h0",
+        "h0-at-goal", "h1-at-goal", "negative-h1", "start-is-goal"])
+def test_check_invariants_rejects_a_broken_domain_contract(costs, heuristics, match):
+    cfg = PlannerConfig(w1_init=2.0, w2_init=2.0, check_invariants=True)
+    with pytest.raises(ValueError, match=match):
+        Planner(_Line(costs, heuristics), cfg).run()

@@ -135,6 +135,33 @@ def test_shipped_primitive_file_matches_builtin():
     assert prims == default_primitive_set(16)
 
 
+@pytest.mark.parametrize("body, match", [
+    ("headings 16\n", "line 1: bad primitive file header"),
+    ("headings x cost_scale 1000\n", "line 1: bad primitive file header"),
+    ("headings 16 cost_scale 500\n", "line 1: only cost_scale 1000"),
+    ("headings 16 cost_scale 1000\n0 1\n", "line 2: primitive line has 2 fields"),
+    ("headings 16 cost_scale 1000\n# ok\n\n0 0 1000 x\n", "line 4: non-integer field"),
+    ("headings 16 cost_scale 1000\n0 0 1000 2 0 0 0\n", "line 2: .* expects 6 pose fields, found 3"),
+    ("headings 16 cost_scale 1000\n0 0 1000 1 1 0 0\n", "line 2: primitive must start"),
+], ids=["short-header", "non-numeric-header", "cost-scale", "short-line", "non-number",
+        "pose-count", "bad-primitive"])
+def test_primitive_file_errors_name_the_line(tmp_path, body, match):
+    path = tmp_path / "bad.mprim"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match):
+        load_primitives(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("\n3 1 1.0\n..\n", "line 3: map row 0 has width 2"),
+    ("3 2 1.0\n...\n.x.\n", "line 3: unexpected map character 'x'"),
+    ("\n\n4 4\n....\n", "line 3: bad map header"),
+], ids=["row-width", "bad-character", "header-after-blank-lines"])
+def test_map_parse_errors_name_the_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        OccupancyGrid.parse(text)
+
+
 def test_primitive_validation():
     with pytest.raises(ValueError):
         MotionPrimitive(0, 0, 0, ((0, 0, 0),))

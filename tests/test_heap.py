@@ -1,6 +1,9 @@
 import math
 import random
 
+import pytest
+
+import amhastar.heap as heap_mod
 from amhastar.heap import AddressableHeap
 
 
@@ -75,12 +78,25 @@ def test_random_operations_match_reference():
     rng = random.Random(20240817)
     h = AddressableHeap()
     ref: dict[int, tuple[float, int]] = {}
+
+    def check():
+        assert len(h) == len(ref)
+        assert sorted(h.members()) == sorted(ref)
+
     for step in range(4000):
         op = rng.random()
         sid = rng.randrange(120)
-        if op < 0.55:
+        if op < 0.5:
             key = round(rng.uniform(0, 50), 2)
             g = rng.randrange(40)
+            h.insert_or_update(sid, key, g)
+            ref[sid] = (key, g)
+        elif op < 0.6 and sid in ref:
+            # Discard, then re-insert the same (key, g): the old tuple goes
+            # stale but stays equal to the new one.
+            h.discard(sid)
+            key, g = ref.pop(sid)
+            check()
             h.insert_or_update(sid, key, g)
             ref[sid] = (key, g)
         elif op < 0.75:
@@ -92,5 +108,51 @@ def test_random_operations_match_reference():
             assert h.min_key() == best[1][0]
             assert h.pop() == best[0]
             del ref[best[0]]
-        assert len(h) == len(ref)
-    assert sorted(h.members()) == sorted(ref)
+        check()
+    # Thousands of updates over a few ids, each followed by a pop or a
+    # discard now and then, so stale tuples pile up and get compacted.
+    for step in range(5000):
+        sid = rng.randrange(4)
+        key = float(rng.randrange(20))
+        g = rng.randrange(5)
+        h.insert_or_update(sid, key, g)
+        ref[sid] = (key, g)
+        if step % 7 == 0:
+            h.discard(sid)
+            del ref[sid]
+        elif step % 11 == 0:
+            best = min(ref.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
+            assert h.pop() == best[0]
+            del ref[best[0]]
+        check()
+    while ref:
+        best = min(ref.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
+        assert h.min_key() == best[1][0]
+        assert h.pop() == best[0]
+        del ref[best[0]]
+        check()
+    assert h.min_key() == math.inf
+
+
+def test_discarded_id_stays_gone_after_equal_reinsert():
+    # The re-insert leaves a stale tuple equal to the live one; the second
+    # discard must leave neither of them answering min_key or top.
+    h = AddressableHeap()
+    h.insert_or_update(1, 5, 0)
+    h.discard(1)
+    h.insert_or_update(1, 5, 0)
+    h.discard(1)
+    assert 1 not in h
+    assert len(h) == 0
+    assert h.min_key() == math.inf
+    with pytest.raises(IndexError):
+        h.top()
+
+
+def test_stale_entries_stay_within_the_compaction_threshold():
+    rng = random.Random(7)
+    h = AddressableHeap()
+    for _ in range(10_000):
+        h.insert_or_update(rng.randrange(3), rng.uniform(0, 100), rng.randrange(10))
+        assert len(h._heap) <= heap_mod._COMPACT_FACTOR * len(h) + heap_mod._COMPACT_SLACK
+    assert len(h) == 3
