@@ -25,10 +25,11 @@ from pathlib import Path
 from typing import Optional
 
 from .domain import SearchDomain
-from .grid import LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives
+from .grid import (LatticeDomain, OccupancyGrid, RobotFootprint, _line_error,
+                   load_primitives, load_scenarios)
 from .oracle import tile_goal_distances, uniform_cost_optimal
 from .planner import Planner, PlannerConfig, SolutionRecord
-from .tiles import TilePuzzleDomain, parse_instance_line
+from .tiles import TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line
 from .verify import Verdict, verify_run
 
 SUMMARY_COLUMNS = (
@@ -37,6 +38,10 @@ SUMMARY_COLUMNS = (
 )
 CURVE_COLUMNS = "t_s,cost,bound"
 AGGREGATE_INSTANCE = "__mean__"
+# Bench config keys that configure the harness, not a run.
+HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "out", "oracle", "oracle_cap"))
+# RunManifest fields that each run of a bench takes from the harness keys.
+PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
 
 
 @dataclass
@@ -76,23 +81,30 @@ class RunManifest:
     @classmethod
     def from_text(cls, text: str) -> "RunManifest":
         values = parse_kv(text)
-        values.pop("manifest_version", None)
+        version = values.pop("manifest_version", "1")
+        if version != "1":
+            raise ValueError(f"manifest_version = {version!r}: expected 1")
         # Older manifests record the heap's fixed tie order under this key.
         tie_break = values.pop("tie_break", "high-g-low-id")
         if tie_break != "high-g-low-id":
             raise ValueError(f"unsupported tie_break {tie_break!r}")
+        return cls.from_values(values)
+
+    @classmethod
+    def from_values(cls, values: dict[str, str]) -> "RunManifest":
+        """A manifest from `key = value` strings, each coerced to the type of
+        its field's default; a key that is no field is rejected."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = sorted(set(values) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown manifest keys: {unknown}")
         kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in values:
-                raw = values.pop(f.name)
-                if f.type in ("float", float):
-                    kwargs[f.name] = float(raw)
-                elif f.type in ("int", int):
-                    kwargs[f.name] = int(raw)
-                else:
-                    kwargs[f.name] = raw
-        if values:
-            raise ValueError(f"unknown manifest keys: {sorted(values)}")
+        for key, raw in values.items():
+            kind = type(defaults[key])
+            try:
+                kwargs[key] = kind(raw)
+            except ValueError:
+                raise ValueError(f"{key} = {raw!r}: expected {kind.__name__}") from None
         return cls(**kwargs)
 
     def build_domain(self) -> SearchDomain:
@@ -122,8 +134,8 @@ class RunManifest:
         if self.domain == "grid":
             grid = OccupancyGrid.load(self.map)
             start = tuple(int(v) for v in self.start.split())
-            gparts = [int(v) for v in self.goal.split()]
-            goal = (gparts[0], gparts[1], gparts[2] if len(gparts) == 3 else None)
+            gx, gy, *gt = (int(v) for v in self.goal.split())
+            goal = (gx, gy, gt[0] if gt else None)
             if self.primitives == "builtin16":
                 prims, num_headings = None, 16
             else:
@@ -136,10 +148,9 @@ class RunManifest:
                 num_headings=num_headings,
                 footprint=parse_footprint(self.footprint),
             )
-        raise ValueError(f"unknown domain {self.domain!r}")
+        raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
 
-    def build_config(self, record_expansions: bool = False,
-                     check_invariants: bool = False) -> PlannerConfig:
+    def build_config(self, record_expansions: bool = False) -> PlannerConfig:
         return PlannerConfig(
             w1_init=self.w1,
             w2_init=self.w2,
@@ -151,21 +162,22 @@ class RunManifest:
             clock=self.clock,
             tick=self.tick,
             record_expansions=record_expansions,
-            check_invariants=check_invariants,
         )
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Line-oriented `key = value` with '#' comments."""
+    """Line-oriented `key = value` with '#' comments; a key may appear once."""
     values: dict[str, str] = {}
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+            raise _line_error(n, f"expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise _line_error(n, f"key {key!r} given twice")
+        values[key] = value
     return values
 
 
@@ -279,56 +291,48 @@ def curve_csv(row: MetricsRow) -> str:
 
 
 def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str, RunManifest]]:
-    algos = [a.strip() for a in values.get("algos", "amha").split(",") if a.strip()]
-    base = dict(
-        w1=float(values.get("w1", "1")),
-        w2=float(values.get("w2", "1")),
-        dw1=float(values.get("dw1", "1")),
-        dw2=float(values.get("dw2", "1")),
-        time_limit=float(values.get("time_limit", "inf")),
-        clock=values.get("clock", "wall"),
-        tick=float(values.get("tick", "1e-4")),
-        termination=values.get("termination", "per_expansion"),
-        seed=int(values.get("seed", "0")),
-    )
-    domain = values.get("domain", "tiles")
-    instances: list[tuple[str, dict]] = []
-    if domain == "tiles":
-        extra = dict(
-            n_heur=int(values.get("n_heur", "2")),
-            weight_lo=float(values.get("weight_lo", "0")),
-            weight_hi=float(values.get("weight_hi", "5")),
-        )
-        path = config_dir / values["instances"]
-        with open(path) as fh:
-            boards = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        for k, line in enumerate(boards):
-            instances.append((f"i{k:03d}", dict(domain="tiles", board=line, **extra)))
-    elif domain == "grid":
-        map_path = str((config_dir / values["map"]).resolve())
-        extra = dict(
-            map=map_path,
-            footprint=values.get("footprint", "rect:1.2x0.8"),
-            primitives=values.get("primitives", "builtin16"),
-        )
-        with open(config_dir / values["scenarios"]) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        for k, line in enumerate(lines):
-            parts = line.split()
-            if len(parts) not in (5, 6):
-                raise ValueError(f"scenario line needs 5 or 6 ints: {line!r}")
-            start = " ".join(parts[:3])
-            goal = " ".join(parts[3:])
-            instances.append(
-                (f"i{k:03d}", dict(domain="grid", start=start, goal=goal, **extra))
-            )
+    """One manifest per algorithm x instance of a bench config's values.
+
+    Every key but the harness keys is a RunManifest field; `algo` and the
+    instance fields come from `algos` and the instance or scenario file.
+    """
+    fields = {k: v for k, v in values.items() if k not in HARNESS_KEYS}
+    per_run = sorted(PER_RUN_KEYS & fields.keys())
+    if per_run:
+        raise ValueError(f"bench config keys {per_run} are set per run; use algos, "
+                         "instances or scenarios")
+    if fields.get("map"):
+        fields["map"] = str((config_dir / fields["map"]).resolve())
+    if fields.get("primitives", "builtin16") != "builtin16":
+        fields["primitives"] = str((config_dir / fields["primitives"]).resolve())
+    base = RunManifest.from_values(fields)
+    if base.domain == "tiles":
+        runs = [dict(board=format_instance_line(board))
+                for board in _read_instances(values, "instances", config_dir, load_instances)]
+    elif base.domain == "grid":
+        if not base.map:
+            raise ValueError("bench config needs map = <file> for domain grid")
+        runs = [dict(start=" ".join(map(str, start)),
+                     goal=" ".join(str(v) for v in goal if v is not None))
+                for start, goal in _read_instances(values, "scenarios", config_dir, load_scenarios)]
     else:
-        raise ValueError(f"unknown domain {domain!r}")
-    out = []
-    for algo in algos:
-        for iid, inst in instances:
-            out.append((f"{algo}--{iid}", RunManifest(algo=algo, **base, **inst)))
-    return out
+        raise ValueError(f"domain = {base.domain!r}: expected tiles or grid")
+    algos = [a.strip() for a in values.get("algos", "amha").split(",") if a.strip()]
+    return [
+        (f"{algo}--i{k:03d}", dataclasses.replace(base, algo=algo, **run))
+        for algo in algos
+        for k, run in enumerate(runs)
+    ]
+
+
+def _read_instances(values: dict[str, str], key: str, config_dir: Path, load) -> list:
+    """Read the instance file a config names under `key`, relative to the config."""
+    if key not in values:
+        raise ValueError(f"bench config needs {key} = <file>")
+    try:
+        return load(config_dir / values[key])
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{key} = {values[key]}: {err}") from None
 
 
 def run_matrix(config_path, out_dir=None) -> Path:
@@ -339,15 +343,19 @@ def run_matrix(config_path, out_dir=None) -> Path:
     """
     config_path = Path(config_path)
     values = parse_kv(config_path.read_text())
+    oracle = values.get("oracle", "off")
+    if oracle not in ("on", "off"):
+        raise ValueError(f"oracle = {oracle!r}: expected on or off")
+    use_oracle = oracle == "on"
+    cap = values.get("oracle_cap", "2000000")
+    if not cap.isdigit():
+        raise ValueError(f"oracle_cap = {cap!r}: expected int")
+    manifests = _build_manifests(values, config_path.parent)
     out = Path(out_dir) if out_dir is not None else Path(values.get("out", "bench-out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "curves").mkdir(exist_ok=True)
     (out / "manifests").mkdir(exist_ok=True)
-    use_oracle = values.get("oracle", "off") == "on"
-    oracle_cap = int(values.get("oracle_cap", "2000000"))
-    record = use_oracle
     tile_tables: dict[tuple[int, int], dict[bytes, int]] = {}
-    manifests = _build_manifests(values, config_path.parent)
     rows: list[MetricsRow] = []
     verdict_lines: list[str] = []
     algo_order: list[str] = []
@@ -357,7 +365,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
             algo_order.append(algo)
         instance_id = run_id.split("--", 1)[1]
         try:
-            records, planner, domain = run_from_manifest(manifest, record_expansions=record)
+            records, planner, domain = run_from_manifest(manifest, record_expansions=use_oracle)
         except Exception as exc:  # noqa: BLE001 - isolate per-run crashes
             rows.append(MetricsRow(instance_id, algo, False))
             verdict_lines.append(f"{run_id} ERROR {exc}")
@@ -369,7 +377,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
         rows.append(row)
         (out / "curves" / f"{run_id}.csv").write_text(curve_csv(row))
         if use_oracle:
-            optimal = _oracle_optimal(manifest, oracle_cap, tile_tables)
+            optimal = _oracle_optimal(manifest, int(cap), tile_tables)
             verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
             verdict_lines.append(f"{run_id} {'PASS' if verdict.passed else 'FAIL'}")
             verdict_lines.extend("  " + f for f in verdict.failures)
@@ -400,8 +408,15 @@ def _oracle_optimal(manifest: RunManifest, oracle_cap: int,
     return uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
 
 
-def verify_manifest(manifest: RunManifest, oracle_cap: int = 2_000_000) -> Verdict:
-    """Replay a manifest with logging and check it against the oracle."""
+def verify_manifest(
+    manifest: RunManifest, oracle_cap: int = 2_000_000,
+) -> tuple[Verdict, list[SolutionRecord], Planner, Optional[float]]:
+    """Replay a manifest with logging and check it against the oracle.
+
+    Returns the verdict, the replay's records and planner, and the optimum
+    (None when the oracle gave up at `oracle_cap` settled states).
+    """
     records, planner, _ = run_from_manifest(manifest, record_expansions=True)
-    optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
-    return verify_run(records, optimal, planner.expansion_log, manifest.algo)
+    optimal = _oracle_optimal(manifest, oracle_cap, {})
+    verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
+    return verdict, records, planner, optimal

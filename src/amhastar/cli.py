@@ -2,17 +2,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 from . import bench
 from .bench import MetricsRow, RunManifest, curve_csv, run_from_manifest
-from .grid import load_scenario
-from .oracle import uniform_cost_optimal
 from .planner import MODES
 from .tiles import format_instance_line, random_solvable_board
-from .verify import verify_run
+
+MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
 
 
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
@@ -29,18 +29,10 @@ def _add_planner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--print-path", action="store_true")
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    return RunManifest(
-        algo=args.algo,
-        w1=args.w1,
-        w2=args.w2,
-        dw1=args.dw1,
-        dw2=args.dw2,
-        time_limit=args.time_limit,
-        seed=args.seed,
-        clock=args.clock,
-        tick=args.tick,
-    )
+def _manifest_from_args(args: argparse.Namespace, **fields) -> RunManifest:
+    """The manifest fields among the parsed flags, plus `fields`."""
+    given = {k: v for k, v in vars(args).items() if k in MANIFEST_FIELDS}
+    return RunManifest(**{**given, **fields})
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
@@ -62,7 +54,7 @@ def _report(args, manifest: RunManifest, describe_path) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.txt").write_text(manifest.to_text())
-        row = MetricsRow.from_records("i000", args.algo, records, planner.expansions_total)
+        row = MetricsRow.from_records("i000", manifest.algo, records, planner.expansions_total)
         (out / "curve.csv").write_text(curve_csv(row))
     return 0
 
@@ -74,11 +66,9 @@ def _cmd_solve_tiles(args: argparse.Namespace) -> int:
         board = random_solvable_board(args.width, args.height, args.seed)
         board_line = format_instance_line(board)
         print(f"instance: {board_line}")
-    manifest = _manifest_from_args(args)
-    manifest.domain = "tiles"
-    manifest.board = board_line
-    manifest.n_heur = args.n_heur
-    manifest.weight_lo, manifest.weight_hi = args.weight_range
+    weight_lo, weight_hi = args.weight_range
+    manifest = _manifest_from_args(args, board=board_line,
+                                   weight_lo=weight_lo, weight_hi=weight_hi)
 
     def describe(domain, path):
         for sid in path:
@@ -88,22 +78,10 @@ def _cmd_solve_tiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_grid(args: argparse.Namespace) -> int:
+    if not (args.start and args.goal):
+        print("need both --start and --goal", file=sys.stderr)
+        return 2
     manifest = _manifest_from_args(args)
-    manifest.domain = "grid"
-    manifest.map = args.map
-    if args.scenario:
-        start, goal = load_scenario(args.scenario)
-        manifest.start = " ".join(str(v) for v in start)
-        manifest.goal = " ".join(str(v) for v in goal if v is not None)
-    else:
-        if not (args.start and args.goal):
-            print("need --scenario or both --start and --goal", file=sys.stderr)
-            return 2
-        manifest.start = args.start
-        manifest.goal = args.goal
-    manifest.footprint = args.footprint
-    if args.primitives:
-        manifest.primitives = args.primitives
 
     def describe(domain, path):
         for sid in path:
@@ -121,11 +99,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_text(Path(args.manifest).read_text())
-    records, planner, _ = run_from_manifest(manifest, record_expansions=True)
-    optimal = uniform_cost_optimal(manifest.build_domain(), state_cap=args.oracle_cap)
+    verdict, records, planner, optimal = bench.verify_manifest(manifest, args.oracle_cap)
     if optimal is None:
         print("oracle unavailable (state cap exceeded); bound checks skipped")
-    verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
     print(f"records: {len(records)}  expansions: {planner.expansions_total}")
     print(verdict)
     return 0 if verdict.passed else 1
@@ -145,17 +121,16 @@ def main(argv=None) -> int:
     p.add_argument("--height", type=int, default=3)
     p.add_argument("--n-heur", type=int, default=2)
     p.add_argument("--weight-range", type=float, nargs=2, default=(0.0, 5.0))
-    p.set_defaults(func=_cmd_solve_tiles)
+    p.set_defaults(func=_cmd_solve_tiles, domain="tiles")
 
     p = sub.add_parser("solve-grid", help="solve one lattice navigation instance")
     _add_planner_flags(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--scenario", default=None)
     p.add_argument("--start", default=None, help="`x y theta`")
     p.add_argument("--goal", default=None, help="`x y [theta]`")
     p.add_argument("--footprint", default="rect:1.2x0.8")
-    p.add_argument("--primitives", default=None)
-    p.set_defaults(func=_cmd_solve_grid)
+    p.add_argument("--primitives", default="builtin16")
+    p.set_defaults(func=_cmd_solve_grid, domain="grid")
 
     p = sub.add_parser("bench", help="run an algorithms x instances matrix")
     p.add_argument("--config", required=True)

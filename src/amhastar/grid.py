@@ -95,12 +95,16 @@ class OccupancyGrid:
         try:
             w_s, h_s, res_s = header.split()
             w, h, res = int(w_s), int(h_s), float(res_s)
+            if w <= 0 or h <= 0:
+                raise ValueError
         except ValueError:
             raise _line_error(
                 n, f"bad map header {header!r}: expected `width height resolution`"
             ) from None
         if len(lines) != h + 1:
-            raise ValueError(f"expected {h} map rows, found {len(lines) - 1}")
+            # the last row read, or the first row past the declared height
+            n = lines[min(len(lines) - 1, h + 1)][0]
+            raise _line_error(n, f"expected {h} map rows, found {len(lines) - 1}")
         cells = bytearray(w * h)
         for y, (n, row) in enumerate(lines[1:]):
             if len(row) != w:
@@ -527,19 +531,24 @@ def dijkstra_field(
 # -- the domain ----------------------------------------------------------------
 
 
-def load_scenario(path) -> tuple[tuple[int, int, int], tuple[int, int, Optional[int]]]:
-    """Two lines: start `x y theta`, goal `x y [theta]`."""
-    poses = []
+def load_scenarios(path) -> list[tuple[tuple[int, int, int], tuple[int, int, Optional[int]]]]:
+    """One query per line, `x y theta gx gy [gtheta]`: a start pose and a
+    goal cell, the goal heading optional; `#` starts a comment."""
+    queries = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                poses.append([int(v) for v in line.split()])
-    if len(poses) != 2 or len(poses[0]) != 3 or len(poses[1]) not in (2, 3):
-        raise ValueError("scenario must be a start `x y theta` and a goal `x y [theta]`")
-    gx, gy = poses[1][0], poses[1][1]
-    gt = poses[1][2] if len(poses[1]) == 3 else None
-    return (poses[0][0], poses[0][1], poses[0][2]), (gx, gy, gt)
+        for n, line in enumerate(fh, 1):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) not in (5, 6):
+                raise _line_error(n, f"scenario line has {len(parts)} fields, "
+                                     "expected `x y theta gx gy [gtheta]`")
+            try:
+                x, y, t, gx, gy, *gt = map(int, parts)
+            except ValueError:
+                raise _line_error(n, f"non-integer field in {line.strip()!r}") from None
+            queries.append(((x, y, t), (gx, gy, gt[0] if gt else None)))
+    return queries
 
 
 def _row_runs(offsets, stride: int) -> tuple[tuple[int, int], ...]:
@@ -564,8 +573,7 @@ class LatticeDomain(SearchDomain):
     euclidean value (fallbacks are counted in `fallback_lookups`).
 
     Collision checks read a padded snapshot of the map taken at
-    construction: later `grid.set_obstacle` calls are not seen, as they are
-    not seen by the successor cache either.
+    construction: later `grid.set_obstacle` calls are not seen.
 
     `clearance` is the per-map cached clearance field, shared by every
     domain built on a map with the same content: treat it as read-only.
@@ -639,7 +647,6 @@ class LatticeDomain(SearchDomain):
         self.fallback_lookups = 0
         self._w = w
         self._start_sid = self._intern(sx, sy, st)
-        self._succ: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def _intern(self, x: int, y: int, t: int) -> int:
         # Arithmetic state id: a bijection, so re-interning is trivially stable.
@@ -667,9 +674,6 @@ class LatticeDomain(SearchDomain):
         return self.goal_theta is None or t == self.goal_theta
 
     def successors(self, sid: int) -> tuple[tuple[int, int], ...]:
-        cached = self._succ.get(sid)
-        if cached is not None:
-            return cached
         h = self.num_headings
         xy, t = divmod(sid, h)
         w = self._w
@@ -687,9 +691,7 @@ class LatticeDomain(SearchDomain):
                     break
             else:
                 out.append((sid0 + delta, cost))
-        result = tuple(out)
-        self._succ[sid] = result
-        return result
+        return tuple(out)
 
     def euclidean_h(self, sid: int) -> float:
         x, y, _ = self.pose_of(sid)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domain import SearchDomain, StateInterner
+from .grid import _line_error
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,13 @@ def parse_instance_line(line: str) -> TileBoard:
     parts = line.split()
     if len(parts) < 6:
         raise ValueError(f"malformed tile instance line: {line!r}")
-    w, h = int(parts[0]), int(parts[1])
-    tiles = tuple(int(p) for p in parts[2:])
+    try:
+        w, h, *tiles = map(int, parts)
+    except ValueError:
+        raise ValueError(f"non-integer field in tile instance line {line!r}") from None
     if len(tiles) != w * h:
         raise ValueError(f"expected {w * h} tiles, got {len(tiles)}")
-    return TileBoard(w, h, tiles)
+    return TileBoard(w, h, tuple(tiles))
 
 
 def format_instance_line(board: TileBoard) -> str:
@@ -251,12 +254,16 @@ def format_instance_line(board: TileBoard) -> str:
 
 
 def load_instances(path) -> list[TileBoard]:
+    """One instance line per board; blank lines and `#` lines are skipped."""
     boards = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                boards.append(parse_instance_line(line))
+                try:
+                    boards.append(parse_instance_line(line))
+                except ValueError as err:
+                    raise _line_error(n, str(err)) from None
     return boards
 
 
@@ -311,7 +318,6 @@ class TilePuzzleDomain(SearchDomain):
         self._start = self._interner.intern(bytes(board.tiles))
         self._goal = self._interner.intern(bytes(goal_board(board.width, board.height).tiles))
         self._h: dict[int, tuple] = {}
-        self._succ: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def board_of(self, sid: int) -> TileBoard:
         return TileBoard(self._width, self._height, tuple(self._interner.key_of(sid)))
@@ -323,9 +329,6 @@ class TilePuzzleDomain(SearchDomain):
         return sid == self._goal
 
     def successors(self, sid: int) -> tuple[tuple[int, int], ...]:
-        cached = self._succ.get(sid)
-        if cached is not None:
-            return cached
         tiles = self._interner.key_of(sid)
         mt, md, lc = (self._h.get(sid) or self._score(sid))[-3:]
         intern = self._interner.intern
@@ -347,9 +350,7 @@ class TilePuzzleDomain(SearchDomain):
                                 - _line_removals(tiles[cut].translate(keep, drop)))
                 known[csid] = self._entry(mt + dmt, md + dmd, clc)
             out.append((csid, 1))
-        result = tuple(out)
-        self._succ[sid] = result
-        return result
+        return tuple(out)
 
     def heuristic(self, sid: int, i: int) -> float:
         entry = self._h.get(sid)

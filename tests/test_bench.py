@@ -117,8 +117,10 @@ def test_manifest_rejects_unknown_keys():
 
 def test_parse_kv_comments_and_errors():
     assert parse_kv("a = 1 # note\n\n# full comment\nb = x y\n") == {"a": "1", "b": "x y"}
-    with pytest.raises(ValueError):
-        parse_kv("not a pair\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected key = value"):
+        parse_kv("a = 1\nnot a pair\n")
+    with pytest.raises(ValueError, match=r"^line 3: key 'w1' given twice$"):
+        parse_kv("w1 = 2\n# note\nw1 = 3\n")
 
 
 def test_run_from_manifest_records_weights():
@@ -227,7 +229,8 @@ def test_grid_matrix_runs(tmp_path):
 
 
 def test_verify_manifest_passes_for_honest_run():
-    verdict = verify_manifest(tile_manifest(seed=11))
+    verdict, records, planner, optimal = verify_manifest(tile_manifest(seed=11))
+    assert records and optimal == records[-1].cost
     assert verdict.passed, verdict.failures
 
 
@@ -247,3 +250,71 @@ def test_grid_manifest_with_primitive_file(tmp_path):
     records, planner, domain = run_from_manifest(manifest)
     assert records and records[0].cost > 0
     assert len(domain.primitives) == 64
+
+
+def test_from_values_coerces_by_field_type():
+    m = RunManifest.from_values({"w1": "2.5", "seed": "7", "clock": "virtual"})
+    assert (m.w1, m.seed, m.clock, m.w2) == (2.5, 7, "virtual", 1.0)
+    with pytest.raises(ValueError, match=r"^seed = '1.5': expected int$"):
+        RunManifest.from_values({"seed": "1.5"})
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(w_1="9"), r"unknown manifest keys: \['w_1'\]"),
+    (dict(w1="x"), r"w1 = 'x': expected float"),
+    (dict(n_heur="two"), r"n_heur = 'two': expected int"),
+    (dict(algo="ara"), r"\['algo'\] are set per run"),
+    (dict(oracle="yes"), r"oracle = 'yes': expected on or off"),
+    (dict(oracle_cap="lots"), r"oracle_cap = 'lots': expected int"),
+    (dict(instances="missing.txt"), r"instances = missing.txt: .*No such file"),
+])
+def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
+    board = format_instance_line(random_solvable_board(3, 3, seed=1))
+    cfg = write_config(tmp_path, [board], **change)
+    with pytest.raises(ValueError, match=message):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_board_line_names_the_line(tmp_path):
+    good = format_instance_line(random_solvable_board(3, 3, seed=1))
+    cfg = write_config(tmp_path, ["# boards", good, "3 3 1 2 x 4 5 6 7 8 0"])
+    with pytest.raises(ValueError, match=r"^instances = boards.txt: line 3: non-integer field"):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def grid_config(tmp_path, scenario, **extra):
+    from amhastar.grid import OccupancyGrid
+
+    (tmp_path / "m.map").write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
+    (tmp_path / "q.scen").write_text(scenario)
+    lines = ["domain = grid", "algos = wastar", "map = m.map", "scenarios = q.scen",
+             "footprint = rect:0.4x0.3", "w1 = 2", "clock = virtual"]
+    lines += [f"{k} = {v}" for k, v in extra.items()]
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+def test_non_integer_scenario_field_names_the_line(tmp_path):
+    cfg = grid_config(tmp_path, "3 7 0 11 7\n3 7 0 1l 7\n")
+    with pytest.raises(ValueError, match=r"^scenarios = q.scen: line 2: non-integer field"):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_config_primitives_relative_to_the_config(tmp_path, monkeypatch):
+    from amhastar.grid import default_primitive_set
+    from helpers import save_primitives
+
+    config_dir = tmp_path / "cfg"
+    config_dir.mkdir()
+    save_primitives(default_primitive_set(16), 16, config_dir / "p.mprim")
+    cfg = grid_config(config_dir, "3 7 0 11 7\n", primitives="p.mprim")
+    monkeypatch.chdir(tmp_path)  # the paths must not depend on the working directory
+    out = run_matrix(cfg, tmp_path / "out")
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("i000,wastar,1,")
+    manifest = RunManifest.from_text((out / "manifests" / "wastar--i000.txt").read_text())
+    assert manifest.primitives == str((config_dir / "p.mprim").resolve())
+    assert (manifest.start, manifest.goal) == ("3 7 0", "11 7")

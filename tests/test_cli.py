@@ -1,4 +1,5 @@
 """CLI surface: each subcommand end to end via main()."""
+import shlex
 from pathlib import Path
 
 import amhastar
@@ -40,17 +41,6 @@ def test_solve_grid_with_flags(capsys):
     assert code == 0
     assert "cost=" in out
     assert "3 15 0" in out  # path starts at the start pose
-
-
-def test_solve_grid_scenario_file(capsys, tmp_path):
-    scen = tmp_path / "a.scen"
-    scen.write_text("3 15 0\n26 15\n")
-    code = main([
-        "solve-grid", "--map", str(MAPS / "yard30.map"), "--scenario", str(scen),
-        "--footprint", "rect:0.6x0.4", "--algo", "astar",
-    ])
-    assert code == 0
-    assert "cost=" in capsys.readouterr().out
 
 
 def test_solve_grid_requires_start_or_scenario(capsys):
@@ -112,4 +102,30 @@ def test_demo_wastar_reopenings_pass_bench_and_verify(capsys, tmp_path):
     manifests = tmp_path / "out" / "manifests"
     assert main(["verify", "--manifest", str(manifests / "wastar--i000.txt")]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert verify_manifest(RunManifest.from_text((manifests / "wastar--i001.txt").read_text())).passed
+    verdict, *_ = verify_manifest(
+        RunManifest.from_text((manifests / "wastar--i001.txt").read_text()))
+    assert verdict.passed
+
+
+def readme_commands():
+    """Every `amhastar ...` command of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.startswith("amhastar ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Relative paths in the README are from the repository root; outputs land
+    # in tmp_path, where `configs` and `src` are linked in.
+    root = Path(__file__).resolve().parents[1]
+    for name in ("configs", "src"):
+        (tmp_path / name).symlink_to(root / name)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"solve-tiles", "solve-grid", "bench", "verify"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "run1" / "manifest.txt").exists()
+    assert (tmp_path / "bench-out" / "summary.csv").exists()
+    assert capsys.readouterr().out.rstrip().endswith("PASS")

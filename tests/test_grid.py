@@ -23,7 +23,7 @@ from amhastar.grid import (
     heading_angle,
     heading_vector,
     load_primitives,
-    load_scenario,
+    load_scenarios,
 )
 from amhastar.oracle import octile_distance, uniform_cost_optimal
 from helpers import reference_dijkstra_field, save_primitives
@@ -672,9 +672,20 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
 
 def test_scenario_file_parsing(tmp_path):
     path = tmp_path / "s.scen"
-    path.write_text("# start then goal\n2 3 4\n7 8\n")
-    start, goal = load_scenario(path)
-    assert start == (2, 3, 4)
-    assert goal == (7, 8, None)
-    path.write_text("2 3 4\n7 8 1\n")
-    assert load_scenario(path)[1] == (7, 8, 1)
+    path.write_text("# x y theta gx gy [gtheta]\n2 3 4 7 8\n\n2 3 4 7 8 1  # headed\n")
+    assert load_scenarios(path) == [((2, 3, 4), (7, 8, None)), ((2, 3, 4), (7, 8, 1))]
+    path.write_text("2 3 4 7 8\n0 0 x 5 5\n")
+    with pytest.raises(ValueError, match=r"^line 2: non-integer field in '0 0 x 5 5'$"):
+        load_scenarios(path)
+    path.write_text("2 3 4\n7 8\n")  # start and goal on separate lines
+    with pytest.raises(ValueError, match=r"^line 1: scenario line has 3 fields"):
+        load_scenarios(path)
+
+
+def test_map_missing_rows_names_the_line():
+    with pytest.raises(ValueError, match=r"^line 3: expected 3 map rows, found 2$"):
+        OccupancyGrid.parse("3 3 1\n...\n...\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 1 map rows, found 2$"):
+        OccupancyGrid.parse("3 1 1\n...\n...\n")
+    with pytest.raises(ValueError, match=r"^line 1: bad map header"):
+        OccupancyGrid.parse("3 -1 1\n")
