@@ -28,7 +28,7 @@ from .domain import SearchDomain
 from .grid import (LatticeDomain, OccupancyGrid, RobotFootprint, _line_error,
                    load_primitives, load_scenarios)
 from .oracle import tile_goal_distances, uniform_cost_optimal
-from .planner import Planner, PlannerConfig, SolutionRecord
+from .planner import MODES, Planner, PlannerConfig, SolutionRecord
 from .tiles import TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line
 from .verify import Verdict, verify_run
 
@@ -42,6 +42,9 @@ AGGREGATE_INSTANCE = "__mean__"
 HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "out", "oracle", "oracle_cap"))
 # RunManifest fields that each run of a bench takes from the harness keys.
 PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
+# Keys that older manifests carry, each with the one value it could take:
+# the heap's fixed tie order and the planner's one exit test.
+RETIRED_KEYS = {"tie_break": "high-g-low-id", "termination": "per_expansion"}
 
 
 @dataclass
@@ -57,7 +60,6 @@ class RunManifest:
     time_limit: float = math.inf
     clock: str = "wall"
     tick: float = 1e-4
-    termination: str = "per_expansion"
     seed: int = 0
     # tiles
     board: str = ""
@@ -84,10 +86,10 @@ class RunManifest:
         version = values.pop("manifest_version", "1")
         if version != "1":
             raise ValueError(f"manifest_version = {version!r}: expected 1")
-        # Older manifests record the heap's fixed tie order under this key.
-        tie_break = values.pop("tie_break", "high-g-low-id")
-        if tie_break != "high-g-low-id":
-            raise ValueError(f"unsupported tie_break {tie_break!r}")
+        for key, only in RETIRED_KEYS.items():
+            value = values.pop(key, only)
+            if value != only:
+                raise ValueError(f"{key} = {value!r}: expected {only}")
         return cls.from_values(values)
 
     @classmethod
@@ -109,7 +111,10 @@ class RunManifest:
 
     def build_domain(self) -> SearchDomain:
         if self.domain == "tiles":
-            board = parse_instance_line(self.board)
+            try:
+                board = parse_instance_line(self.board)
+            except ValueError as err:
+                raise ValueError(f"board = {self.board!r}: {err}") from None
             # Recorded draws take precedence so a saved manifest replays the
             # exact run even if the drawing scheme ever changes.
             recorded = None
@@ -133,8 +138,8 @@ class RunManifest:
             return dom
         if self.domain == "grid":
             grid = OccupancyGrid.load(self.map)
-            start = tuple(int(v) for v in self.start.split())
-            gx, gy, *gt = (int(v) for v in self.goal.split())
+            start = tuple(_ints("start", self.start, (3,)))
+            gx, gy, *gt = _ints("goal", self.goal, (2, 3))
             goal = (gx, gy, gt[0] if gt else None)
             if self.primitives == "builtin16":
                 prims, num_headings = None, 16
@@ -158,7 +163,6 @@ class RunManifest:
             dw2=self.dw2,
             time_budget=self.time_limit,
             mode=self.algo,
-            termination_check=self.termination,
             clock=self.clock,
             tick=self.tick,
             record_expansions=record_expansions,
@@ -178,6 +182,18 @@ def parse_kv(text: str) -> dict[str, str]:
         if key in values:
             raise _line_error(n, f"key {key!r} given twice")
         values[key] = value
+    return values
+
+
+def _ints(key: str, text: str, counts: tuple[int, ...]) -> list[int]:
+    """The integers of a manifest field, which must hold one of `counts`."""
+    try:
+        values = [int(v) for v in text.split()]
+    except ValueError:
+        values = []
+    if len(values) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise ValueError(f"{key} = {text!r}: expected {expected} integers")
     return values
 
 
@@ -296,6 +312,11 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
     Every key but the harness keys is a RunManifest field; `algo` and the
     instance fields come from `algos` and the instance or scenario file.
     """
+    algos = [a.strip() for a in values.get("algos", "amha").split(",") if a.strip()]
+    unknown = [a for a in algos if a not in MODES]
+    if unknown:
+        raise ValueError(f"algos = {values['algos']!r}: unknown modes {unknown}, "
+                         f"expected some of {', '.join(MODES)}")
     fields = {k: v for k, v in values.items() if k not in HARNESS_KEYS}
     per_run = sorted(PER_RUN_KEYS & fields.keys())
     if per_run:
@@ -317,7 +338,6 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
                 for start, goal in _read_instances(values, "scenarios", config_dir, load_scenarios)]
     else:
         raise ValueError(f"domain = {base.domain!r}: expected tiles or grid")
-    algos = [a.strip() for a in values.get("algos", "amha").split(",") if a.strip()]
     return [
         (f"{algo}--i{k:03d}", dataclasses.replace(base, algo=algo, **run))
         for algo in algos

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .bench import MetricsRow, RunManifest, curve_csv, run_from_manifest
-from .planner import MODES
+from .bench import MetricsRow, RunManifest, curve_csv
+from .planner import MODES, Planner
 from .tiles import format_instance_line, random_solvable_board
 
 MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
@@ -36,7 +36,13 @@ def _manifest_from_args(args: argparse.Namespace, **fields) -> RunManifest:
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
-    records, planner, domain = run_from_manifest(manifest)
+    try:
+        domain = manifest.build_domain()
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
+    planner = Planner(domain, manifest.build_config())
+    records = planner.run()
     for rec in records:
         print(
             f"t={rec.elapsed:.6f}s cost={rec.cost} bound={rec.bound:g} "

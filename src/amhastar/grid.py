@@ -421,36 +421,25 @@ def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
 
 def clearance_field(grid: OccupancyGrid) -> list[float]:
     """Octile distance (meters) from each cell center to the nearest obstacle
-    cell center, with the out-of-bounds ring counting as obstacles."""
-    w, h, res = grid.width, grid.height, grid.resolution
-    straight = res
-    diagonal = res * math.sqrt(2)
-    dist = [INF] * (w * h)
-    heap = []
+    cell center, with the out-of-bounds ring counting as obstacles.
+
+    One sweep from every obstacle (at 0) and from every edge cell (at one
+    straight step, its distance to the ring), over the map padded by one
+    cell that the sweep never enters.
+    """
+    w, h = grid.width, grid.height
+    stride = w + 2
+    ring = bytearray(b"\x01") * (stride * (h + 2))
+    sources = []
     for y in range(h):
+        row = (y + 1) * stride + 1
+        ring[row:row + w] = bytes(w)
         for x in range(w):
-            idx = y * w + x
-            if grid.cells[idx]:
-                dist[idx] = 0.0
-                heap.append((0.0, idx))
+            if grid.cells[y * w + x]:
+                sources.append((0.0, row + x))
             elif x == 0 or y == 0 or x == w - 1 or y == h - 1:
-                dist[idx] = straight
-                heap.append((straight, idx))
-    heapq.heapify(heap)
-    while heap:
-        d, idx = heapq.heappop(heap)
-        if d > dist[idx]:
-            continue
-        x, y = idx % w, idx // w
-        for dx, dy in DIRS8:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < w and 0 <= ny < h:
-                nd = d + (diagonal if dx and dy else straight)
-                nidx = ny * w + nx
-                if nd < dist[nidx]:
-                    dist[nidx] = nd
-                    heapq.heappush(heap, (nd, nidx))
-    return dist
+                sources.append((grid.resolution, row + x))
+    return _padded_sweep(ring, sources, w, h, grid.resolution)
 
 
 @functools.lru_cache(maxsize=4)
@@ -488,10 +477,7 @@ def dijkstra_field(
     before the sweep; unreachable cells hold +inf. A blocked goal yields an
     all-inf field with a warning (callers fall back to the metric heuristic).
 
-    The sweep runs on the map's cached padded mask (`_blocked_mask`), so a
-    neighbour off the map reads as blocked without a bounds test. Padded
-    indices rise with `y * width + x`, so heap ties pop in the same order
-    as on the unpadded grid and the field values are the same floats.
+    The sweep runs on the map's cached padded mask (`_blocked_mask`).
     """
     w, h, res = grid.width, grid.height, grid.resolution
     blocked = _blocked_mask(w, h, res, bytes(grid.cells), block_radius)
@@ -503,13 +489,30 @@ def dijkstra_field(
             stacklevel=2,
         )
         return [INF] * (w * h)
-    straight = 1000.0 * res
+    return _padded_sweep(blocked, [(0.0, (gy + 1) * stride + gx + 1)], w, h, 1000.0 * res)
+
+
+def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, height: int,
+                  straight: float) -> list[float]:
+    """8-connected multi-source Dijkstra on a flat mask with stride
+    `width + 2`, padded by one blocked cell on every side, so a neighbour
+    off the map reads as blocked without a bounds test.
+
+    `sources` are `(distance, padded index)` pairs, and the list becomes
+    the sweep's heap; steps cost `straight` and `straight * sqrt(2)`, and no
+    blocked cell is entered. Returns the unpadded `width * height` field,
+    +inf where unreached, unpadded in place so that no second full field is
+    held. A cell's value is the least `d + step` over its swept neighbours,
+    whatever order heap ties pop in.
+    """
+    stride = width + 2
     diagonal = straight * math.sqrt(2)
     steps = tuple((dy * stride + dx, diagonal if dx and dy else straight) for dx, dy in DIRS8)
     field = [INF] * len(blocked)
-    start_idx = (gy + 1) * stride + gx + 1
-    field[start_idx] = 0.0
-    heap = [(0.0, start_idx)]
+    for d, idx in sources:
+        field[idx] = d
+    heap = sources
+    heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, idx = pop(heap)
@@ -522,10 +525,11 @@ def dijkstra_field(
                 if nd < field[n]:
                     field[n] = nd
                     push(heap, (nd, n))
-    out: list[float] = []
-    for y in range(1, h + 1):
-        out += field[y * stride + 1:y * stride + 1 + w]
-    return out
+    for y in range(height):
+        row = (y + 1) * stride + 1
+        field[y * width:(y + 1) * width] = field[row:row + width]
+    del field[width * height:]
+    return field
 
 
 # -- the domain ----------------------------------------------------------------

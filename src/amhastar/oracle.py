@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Optional
 
 from .domain import SearchDomain
 
@@ -42,33 +42,6 @@ def uniform_cost_optimal(domain: SearchDomain, state_cap: int = 2_000_000) -> Op
                 dist[s2] = nd
                 heapq.heappush(heap, (nd, s2))
     return INF
-
-
-def breadth_first_distances(
-    neighbors: Callable[[Hashable], Iterable[Hashable]],
-    source: Hashable,
-    max_depth: Optional[int] = None,
-) -> dict[Hashable, int]:
-    """Unit-cost distances from a source over an implicit graph."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        s = queue.popleft()
-        d = dist[s]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for s2 in neighbors(s):
-            if s2 not in dist:
-                dist[s2] = d + 1
-                queue.append(s2)
-    return dist
-
-
-def octile_distance(dx: int, dy: int, straight: float, diagonal: float) -> float:
-    """Closed-form shortest path length on an empty 8-connected grid."""
-    dx, dy = abs(dx), abs(dy)
-    lo, hi = min(dx, dy), max(dx, dy)
-    return lo * diagonal + (hi - lo) * straight
 
 
 def tile_goal_distances(width: int, height: int) -> dict[bytes, int]:

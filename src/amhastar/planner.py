@@ -3,11 +3,12 @@
 The planner runs one admissible "anchor" queue (index 0) and N inadmissible
 queues side by side. Each round it offers every inadmissible queue one
 expansion, allowed only while that queue's min key stays within w2 times the
-anchor's min key; otherwise the anchor expands. A state whose cost improves
-after it was anchor-expanded is parked in an INCONS set and re-queued at the
-next weight decrement, so work carries over between iterations. Published
-solutions are w1*w2-suboptimal and per-iteration re-expansion is capped at
-two (inadmissible then anchor).
+anchor's min key; otherwise the anchor expands. An iteration ends, before
+any expansion, once g(goal) <= w2 times the anchor's min key. A state whose
+cost improves after it was anchor-expanded is parked in an INCONS set and
+re-queued at the next weight decrement, so work carries over between
+iterations. Published solutions are w1*w2-suboptimal and per-iteration
+re-expansion is capped at two (inadmissible then anchor).
 
 The baselines are modes of the same loop, chosen by PlannerConfig(mode=...)
 and run by Planner(domain, config).run(): `ara` (single queue, anytime on
@@ -50,13 +51,11 @@ class PlannerConfig:
     expansions relative to the anchor; both anneal by dw1/dw2 per iteration
     down to 1, computed on the decimal values as written. time_budget is in
     clock seconds ('wall' monotonic seconds, or deterministic virtual
-    seconds advancing by `tick` per expansion).
-    termination_check 'per_expansion' re-tests the exit condition before
-    every expansion; 'per_round' only between rounds, as in the one-test-per-
-    round formulation. check_invariants asserts the queue invariants and
-    raises ValueError when the domain breaks its contract (edge costs not
-    positive integers, a heuristic < 0, +inf in the anchor, or nonzero at a
-    goal); a NaN heuristic raises ValueError with or without it.
+    seconds advancing by `tick` per expansion and per publish).
+    check_invariants asserts the queue invariants and raises ValueError when
+    the domain breaks its contract (edge costs not positive integers, a
+    heuristic < 0, +inf in the anchor, or nonzero at a goal); a NaN
+    heuristic raises ValueError with or without it.
     """
 
     w1_init: float = 1.0
@@ -65,7 +64,6 @@ class PlannerConfig:
     dw2: float = 1.0
     time_budget: float = INF
     mode: str = "amha"
-    termination_check: str = "per_expansion"
     clock: str = "wall"
     tick: float = 1e-4
     record_expansions: bool = False
@@ -78,8 +76,6 @@ class PlannerConfig:
             raise ValueError("dw1 and dw2 must be > 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.termination_check not in ("per_expansion", "per_round"):
-            raise ValueError(f"unknown termination_check {self.termination_check!r}")
         if self.clock not in ("wall", "virtual"):
             raise ValueError(f"unknown clock {self.clock!r}")
         if self.tick <= 0:
@@ -113,44 +109,6 @@ def _nan_key(sid: int, i: int) -> ValueError:
     return ValueError(f"heuristic {i} of state {sid} is NaN: queue {i} has no order")
 
 
-class _WallClock:
-    __slots__ = ("_t0",)
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def now(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def on_expansion(self) -> None:
-        pass
-
-    def on_publish(self) -> None:
-        pass
-
-
-class _VirtualClock:
-    """Deterministic clock: advances one tick per expansion and per publish."""
-
-    __slots__ = ("_tick", "_n")
-
-    def __init__(self, tick: float) -> None:
-        self._tick = tick
-        self._n = 0
-
-    def start(self) -> None:
-        self._n = 0
-
-    def now(self) -> float:
-        return self._n * self._tick
-
-    def on_expansion(self) -> None:
-        self._n += 1
-
-    def on_publish(self) -> None:
-        self._n += 1
-
-
 class Planner:
     """Drives one search over one domain instance; not reusable or shareable.
 
@@ -171,9 +129,6 @@ class Planner:
         self._observer = observer
         self._n = 0 if self._cfg.mode in SINGLE_QUEUE_MODES else domain.num_inadmissible
         self._reopen = self._cfg.mode in REOPENING_MODES
-        self._clock = (
-            _VirtualClock(self._cfg.tick) if self._cfg.clock == "virtual" else _WallClock()
-        )
         self._g: dict[int, float] = {}
         self._parent: dict[int, int] = {}
         # Queue 0 is the anchor.
@@ -211,10 +166,6 @@ class Planner:
         return self._closed_anch
 
     @property
-    def closed_inadmissible(self) -> set[int]:
-        return self._closed_inad
-
-    @property
     def incons(self) -> set[int]:
         return self._incons
 
@@ -247,7 +198,7 @@ class Planner:
             if k != k:
                 raise _nan_key(start, i)
             self._open[i].insert_or_update(start, k, 0)
-        self._clock.start()
+        self._t0 = time.perf_counter()
 
     def key(self, sid: int, i: int) -> float:
         """Queue priority g(s) + w1 * h_i(s); +inf for unreached states."""
@@ -262,7 +213,6 @@ class Planner:
             q.discard(sid)
         self.expansions_total += 1
         self.expansions_iteration += 1
-        self._clock.on_expansion()
         if self._cfg.record_expansions:
             self.expansion_log[-1].append((sid, qi))
         g = self._g
@@ -281,26 +231,27 @@ class Planner:
     def improve_path(self) -> Outcome:
         """Expand until g(goal) is within w2 of the anchor min, or give up.
 
+        The exit test runs before every expansion. An empty anchor has an
+        infinite min key, so it ends the loop too: with a goal reached that
+        is a proven bound, without one the search is exhausted.
+
         Expects the closed sets and INCONS cleared by the caller and the
         queues carrying either the start state or reconciled content.
         """
         w2 = self._w2
         open0 = self._open[0]
-        n = self._n
-        per_exp = self._cfg.termination_check == "per_expansion"
         budget = self._cfg.time_budget
-        clock = self._clock
+        now = self._clock()
         if self._cfg.record_expansions:
             self.expansion_log.append([])
-        if clock.now() > budget:
+        if now() > budget:
             return Outcome.TIMED_OUT
-        while self._goal_g > w2 * open0.min_key():
-            for i in range(1, n + 1) if n > 0 else (0,):
-                if per_exp and self._goal_g <= w2 * open0.min_key():
-                    break
-                if not open0:
-                    break
-                if clock.now() > budget:
+        turns = range(1, self._n + 1) if self._n else (0,)
+        while True:
+            for i in turns:
+                if self._goal_g <= w2 * open0.min_key():
+                    return Outcome.GOAL_BOUND_PROVEN if self._goal_g < INF else Outcome.EXHAUSTED
+                if now() > budget:
                     return Outcome.TIMED_OUT
                 if i >= 1 and self._open[i].min_key() <= w2 * open0.min_key():
                     sid = self._open[i].top()
@@ -312,9 +263,6 @@ class Planner:
                     sid = open0.top()
                     self._closed_anch.add(sid)
                     self.expand(sid, 0)
-        if self._goal_g < INF:
-            return Outcome.GOAL_BOUND_PROVEN
-        return Outcome.EXHAUSTED
 
     def reconcile_queues(self) -> None:
         """Fold INCONS into the anchor, mirror it everywhere, re-key at new w1."""
@@ -352,7 +300,7 @@ class Planner:
         one_shot = cfg.mode in ONE_SHOT_MODES
         w1_init, w2_init = self._w1, self._w2
         k = 0
-        while self._w1 >= 1 and self._w2 >= 1:
+        while True:
             self._closed_anch.clear()
             self._closed_inad.clear()
             self._incons.clear()
@@ -376,6 +324,22 @@ class Planner:
         return self._records
 
     # -- internals -----------------------------------------------------------
+
+    def _clock(self, publishing: int = 0) -> Callable[[], float]:
+        """The run's clock: seconds since initialize(), as a function.
+
+        The virtual clock ticks once per expansion and once per publish;
+        `publishing` counts a publish whose record is not yet kept. The wall
+        clock reads perf_counter(). Callers keep the function in a local: a
+        bound method or closure stored on the planner would be a reference
+        cycle, and a finished planner would wait for the cyclic collector.
+        """
+        if self._cfg.clock == "virtual":
+            tick = self._cfg.tick
+            published = len(self._records) + publishing
+            return lambda: (self.expansions_total + published) * tick
+        t0 = self._t0
+        return lambda: time.perf_counter() - t0
 
     def _relax(self, sid: int, parent: int, new_g: float) -> None:
         """Apply an improving edge: update g/parent and queue per the rules."""
@@ -418,12 +382,11 @@ class Planner:
     def _publish(self) -> None:
         self._tighten_goal_chain()
         path = tuple(self.extract_path(self._goal_sid))
-        self._clock.on_publish()
         rec = SolutionRecord(
             path=path,
             cost=int(self._g[self._goal_sid]),
             bound=self._w1 * self._w2,
-            elapsed=self._clock.now(),
+            elapsed=self._clock(publishing=1)(),
             expansions_total=self.expansions_total,
             expansions_iteration=self.expansions_iteration,
         )

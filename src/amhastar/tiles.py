@@ -11,9 +11,9 @@ The search domain maintains the three counts incrementally: one move shifts
 one tile by one cell, so misplaced tiles and Manhattan distance change only by
 that tile's old and new cell, and linear conflict only on the one row or
 column the tile leaves or enters (Korf 1985; Hansson, Mayer & Yung 1992). The
-from-scratch functions below (`heuristic_triple`, `manhattan_distance`,
-`misplaced_tiles`, `linear_conflict`) are the reference the incremental
-values are tested against.
+from-scratch functions below (`misplaced_tiles`, `manhattan_distance`,
+`linear_conflict`) score the start state and are the reference the
+incremental values are tested against.
 """
 from __future__ import annotations
 
@@ -117,18 +117,6 @@ def _move_effects(width: int, height: int) -> tuple:
     return tuple(table)
 
 
-def tile_successors(board: TileBoard) -> list[tuple[TileBoard, int]]:
-    """All one-move neighbors (blank swapped with an adjacent tile), cost 1."""
-    tiles = board.tiles
-    z = tiles.index(0)
-    out = []
-    for j in _blank_moves(board.width, board.height)[z]:
-        lst = list(tiles)
-        lst[z], lst[j] = lst[j], lst[z]
-        out.append((TileBoard(board.width, board.height, tuple(lst)), 1))
-    return out
-
-
 def manhattan_distance(board: TileBoard) -> int:
     w = board.width
     total = 0
@@ -171,36 +159,6 @@ def linear_conflict(board: TileBoard) -> int:
         col = bytes(v // w for v in tiles[c::w] if v and v % w == c)
         removals += _line_removals(col)
     return 2 * removals
-
-
-def heuristic_triple(board: TileBoard) -> tuple[int, int, int]:
-    """(misplaced, manhattan, linear_conflict) in one pass over the board."""
-    w, h = board.width, board.height
-    tiles = board.tiles
-    mt = 0
-    md = 0
-    rows: list[list[int]] = [[] for _ in range(h)]
-    cols: list[list[int]] = [[] for _ in range(w)]
-    for idx, v in enumerate(tiles):
-        if not v:
-            continue
-        r, c = idx // w, idx % w
-        gr, gc = v // w, v % w
-        if v != idx:
-            mt += 1
-            md += abs(r - gr) + abs(c - gc)
-        if gr == r:
-            rows[r].append(gc)
-        if gc == c:
-            cols[c].append(gr)
-    removals = 0
-    for line in rows:
-        if len(line) > 1:
-            removals += _line_removals(bytes(line))
-    for line in cols:
-        if len(line) > 1:
-            removals += _line_removals(bytes(line))
-    return mt, md, 2 * removals
 
 
 def is_solvable(board: TileBoard) -> bool:
@@ -288,7 +246,7 @@ class TilePuzzleDomain(SearchDomain):
     followed by its (misplaced, manhattan, conflict) triple. successors()
     derives a new child's tuple from its parent's; a state that no
     successors() call produced (the start, or any state asked about first)
-    is scored from scratch with `heuristic_triple`.
+    is scored from scratch with the three reference functions.
     """
 
     def __init__(
@@ -363,6 +321,8 @@ class TilePuzzleDomain(SearchDomain):
 
     def _score(self, sid: int) -> tuple:
         """Score a state from scratch and cache it."""
-        entry = self._entry(*heuristic_triple(self.board_of(sid)))
+        board = self.board_of(sid)
+        entry = self._entry(misplaced_tiles(board), manhattan_distance(board),
+                            linear_conflict(board))
         self._h[sid] = entry
         return entry

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import amhastar
 from amhastar.bench import (
     AGGREGATE_INSTANCE,
     CURVE_COLUMNS,
@@ -101,13 +102,16 @@ def test_legacy_manifest_with_tie_break_loads_and_replays():
         ("0.011900", 39, 25.0), ("0.012000", 39, 9.0), ("0.023200", 23, 1.0)
     ]
     text = m.to_text()
-    assert "tie_break" not in text
+    assert "tie_break" not in text and "termination" not in text
     # to_text writes `map = ` with a trailing blank; the copy above has none.
     assert [ln.rstrip() for ln in text.splitlines()] == [
-        ln for ln in LEGACY_MANIFEST.splitlines() if not ln.startswith("tie_break")
+        ln for ln in LEGACY_MANIFEST.splitlines()
+        if not ln.startswith(("tie_break", "termination"))
     ]
-    with pytest.raises(ValueError, match="tie_break"):
+    with pytest.raises(ValueError, match="^tie_break = 'low-g': expected high-g-low-id$"):
         RunManifest.from_text(LEGACY_MANIFEST.replace("high-g-low-id", "low-g"))
+    with pytest.raises(ValueError, match="^termination = 'per_round': expected per_expansion$"):
+        RunManifest.from_text(LEGACY_MANIFEST.replace("per_expansion", "per_round"))
 
 
 def test_manifest_rejects_unknown_keys():
@@ -267,6 +271,7 @@ def test_from_values_coerces_by_field_type():
     (dict(oracle="yes"), r"oracle = 'yes': expected on or off"),
     (dict(oracle_cap="lots"), r"oracle_cap = 'lots': expected int"),
     (dict(instances="missing.txt"), r"instances = missing.txt: .*No such file"),
+    (dict(algos="amha, amah"), r"^algos = 'amha, amah': unknown modes \['amah'\]"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))
@@ -274,6 +279,21 @@ def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     with pytest.raises(ValueError, match=message):
         run_matrix(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("board", "3 3 1 2 x 4 5 6 7 8 0", "non-integer field"),
+    ("start", "3 x 0", "expected 3 integers"),
+    ("goal", "26", "expected 2 or 3 integers"),
+])
+def test_build_domain_names_a_bad_text_field(key, value, message):
+    yard = Path(amhastar.__file__).parent / "data" / "maps" / "yard30.map"
+    fields = dict(board=dict(domain="tiles"),
+                  start=dict(domain="grid", map=str(yard), goal="26 15"),
+                  goal=dict(domain="grid", map=str(yard), start="3 15 0"))[key]
+    manifest = RunManifest(**fields, **{key: value})
+    with pytest.raises(ValueError, match=rf"^{key} = '{value}': {message}"):
+        manifest.build_domain()
 
 
 def test_malformed_board_line_names_the_line(tmp_path):

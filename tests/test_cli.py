@@ -48,6 +48,14 @@ def test_solve_grid_requires_start_or_scenario(capsys):
     assert code == 2
 
 
+def test_solve_grid_bad_start_names_the_flag(capsys):
+    code = main(["solve-grid", "--map", str(MAPS / "yard30.map"),
+                 "--start", "3 x 0", "--goal", "26 15"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "start = '3 x 0': expected 3 integers\n"
+
+
 def test_no_solution_exit_code(capsys):
     # A board wrapped in walls: goal heading constraint impossible to meet is
     # awkward to build; instead use a tile board that is one move away but a

@@ -18,8 +18,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(mode="sideways")
     with pytest.raises(ValueError):
-        PlannerConfig(termination_check="sometimes")
-    with pytest.raises(ValueError):
         PlannerConfig(clock="sundial")
 
 

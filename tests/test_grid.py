@@ -25,8 +25,9 @@ from amhastar.grid import (
     load_primitives,
     load_scenarios,
 )
-from amhastar.oracle import octile_distance, uniform_cost_optimal
-from helpers import reference_dijkstra_field, save_primitives
+from amhastar.oracle import uniform_cost_optimal
+from helpers import (octile_distance, reference_clearance_field, reference_dijkstra_field,
+                     save_primitives)
 
 INF = math.inf
 SMALL = RobotFootprint.rectangle(0.6, 0.4)
@@ -364,6 +365,25 @@ def test_field_equals_reference_sweep_exactly():
                 else:
                     swept += 1
     assert swept > 100 and blocked > 100
+
+
+def test_clearance_equals_reference_sweep_exactly():
+    rng = random.Random(3)
+    maps = [OccupancyGrid.load(p) for p in sorted(shipped("maps").glob("*.map"))]
+    assert len(maps) == 3
+    for res in (0.25, 0.5, 1.0):
+        grids = [OccupancyGrid(m.width, m.height, res, bytearray(m.cells)) for m in maps]
+        for width, height in ((1, 1), (1, 8), (7, 1), (2, 5), (9, 7), (16, 11), (23, 19)):
+            for density in (0.0, 0.1, 0.4):
+                g = OccupancyGrid.empty(width, height, res)
+                for y in range(height):
+                    for x in range(width):
+                        if rng.random() < density:
+                            g.set_obstacle(x, y)
+                grids.append(g)
+        for g in grids:
+            assert clearance_field(g) == reference_clearance_field(g), (
+                g.width, g.height, res)
 
 
 def _count_clearance_calls(monkeypatch):

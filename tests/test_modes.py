@@ -5,11 +5,10 @@ from dataclasses import replace
 
 from amhastar import Planner, PlannerConfig
 from amhastar.explicit import ExplicitGraphDomain
-from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board, \
-    tile_successors
+from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
 from amhastar.verify import verify_run
 
-from helpers import grid_domain, grid_graph
+from helpers import grid_domain, grid_graph, tile_successors
 
 INF = math.inf
 
@@ -223,19 +222,6 @@ def test_invariants_hold_during_search():
                             (0, 0), (6, 6))
     verdict = verify_run(records, optimal, planner.expansion_log)
     assert verdict.passed, verdict.failures
-
-
-def test_per_round_termination_preserves_guarantees():
-    for seed in (1, 2, 3):
-        board = random_solvable_board(3, 3, seed=seed)
-        dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed)
-        cfg = PlannerConfig(w1_init=3.0, w2_init=2.0, termination_check="per_round",
-                            record_expansions=True)
-        planner = Planner(dom, cfg)
-        records = planner.run()
-        verdict = verify_run(records, astar_manhattan_cost(board), planner.expansion_log)
-        assert verdict.passed, verdict.failures
-        assert records[-1].cost == astar_manhattan_cost(board)
 
 
 def test_expansion_log_double_expansions_are_inadmissible_then_anchor():

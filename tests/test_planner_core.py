@@ -1,14 +1,17 @@
 """Unit tests for the planner phases: key, expand, improve_path, reconcile,
 extract_path. Reference values come from hand traces and from independent
 Dijkstra / breadth-first searches written here, not from the planner."""
+import gc
 import heapq
 import math
+import weakref
 from collections import deque
 
 import pytest
 
 from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.explicit import ExplicitGraphDomain
+from amhastar.tiles import TilePuzzleDomain, random_solvable_board
 
 from helpers import grid_domain, grid_graph
 
@@ -264,3 +267,20 @@ def test_published_path_edge_costs_sum_to_cost():
             assert costs, f"{u}->{v} is not a domain edge"
             total += min(costs)
         assert total == rec.cost
+
+
+@pytest.mark.parametrize("clock", ["wall", "virtual"])
+def test_finished_planner_is_freed_without_the_cyclic_collector(clock):
+    # A reference cycle through the planner (say, a bound method kept on it)
+    # would hold every finished run's tables until the cyclic collector ran.
+    gc.disable()
+    try:
+        domain = TilePuzzleDomain(random_solvable_board(3, 3, seed=5), num_inadmissible=2)
+        planner = Planner(domain, PlannerConfig(w1_init=3.0, w2_init=2.0, clock=clock,
+                                                time_budget=60.0, record_expansions=True))
+        assert planner.run()
+        refs = [weakref.ref(planner), weakref.ref(domain)]
+        del planner, domain
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

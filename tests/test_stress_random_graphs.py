@@ -72,8 +72,7 @@ CONFIGS = [
     PlannerConfig(w1_init=3.0, w2_init=2.0, check_invariants=True, record_expansions=True),
     PlannerConfig(w1_init=2.0, w2_init=4.0, dw1=0.5, dw2=1.5,
                   check_invariants=True, record_expansions=True),
-    PlannerConfig(w1_init=4.0, w2_init=3.0, termination_check="per_round",
-                  check_invariants=True, record_expansions=True),
+    PlannerConfig(w1_init=4.0, w2_init=3.0, check_invariants=True, record_expansions=True),
 ]
 
 

@@ -12,7 +12,6 @@ from amhastar.tiles import (
     draw_weights,
     format_instance_line,
     goal_board,
-    heuristic_triple,
     is_solvable,
     linear_conflict,
     load_instances,
@@ -20,8 +19,9 @@ from amhastar.tiles import (
     misplaced_tiles,
     parse_instance_line,
     random_solvable_board,
-    tile_successors,
 )
+
+from helpers import tile_successors
 
 
 def bfs_depths(start: TileBoard, max_depth=None):
@@ -117,15 +117,6 @@ def test_linear_conflict_reversed_pair_counts_two():
     assert linear_conflict(b) == 2
 
 
-def test_heuristic_triple_matches_componentwise():
-    rng = random.Random(13)
-    for _ in range(40):
-        b = random_solvable_board(4, 4, seed=rng.randrange(10**6))
-        assert heuristic_triple(b) == (
-            misplaced_tiles(b), manhattan_distance(b), linear_conflict(b)
-        )
-
-
 def test_anchor_admissible_within_six_moves_exhaustively():
     depths = bfs_depths(goal_board(3, 3), max_depth=6)
     for tiles, depth in depths.items():
@@ -167,9 +158,13 @@ def test_weighted_heuristic_degenerate_cases():
     assert dom2.heuristic(dom2.start(), 1) == 2  # mt=1, md=1, lc=0
 
 
+def scratch_triple(board):
+    return misplaced_tiles(board), manhattan_distance(board), linear_conflict(board)
+
+
 def scratch_heuristics(dom, board):
     """All N+1 heuristic values recomputed from the board alone."""
-    mt, md, lc = heuristic_triple(board)
+    mt, md, lc = scratch_triple(board)
     return [md + lc] + [a * mt + b * md + c * lc for a, b, c in dom.weights]
 
 
@@ -189,7 +184,7 @@ def test_incremental_heuristics_match_scratch_along_random_walks(width, height):
             for child, _ in children:
                 b = dom.board_of(child)
                 # Derived inside successors(), not on demand by heuristic().
-                assert dom._h[child][-3:] == heuristic_triple(b)
+                assert dom._h[child][-3:] == scratch_triple(b)
                 for i, h in enumerate(scratch_heuristics(dom, b)):
                     assert dom.heuristic(child, i) == h
             sid = rng.choice(children)[0]
