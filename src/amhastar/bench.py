@@ -327,6 +327,7 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
     if fields.get("primitives", "builtin16") != "builtin16":
         fields["primitives"] = str((config_dir / fields["primitives"]).resolve())
     base = RunManifest.from_values(fields)
+    base.build_config()  # a bad planner parameter raises here, not in every run
     if base.domain == "tiles":
         runs = [dict(board=format_instance_line(board))
                 for board in _read_instances(values, "instances", config_dir, load_instances)]

@@ -36,11 +36,7 @@ def _manifest_from_args(args: argparse.Namespace, **fields) -> RunManifest:
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
-    try:
-        domain = manifest.build_domain()
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 2
+    domain = manifest.build_domain()
     planner = Planner(domain, manifest.build_config())
     records = planner.run()
     for rec in records:
@@ -149,7 +145,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as err:  # bad input: a file, a field or a flag
+        print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Lattice (x, y, heading) navigation over occupancy grids.
 
 Successors come from a table of motion primitives (short swept pose
-sequences respecting a minimum turning radius); collision checking places a
-convex polygon footprint at every swept pose. Edge costs are the primitive
-arc lengths in integer milli-meters. The anchor heuristic is straight-line
-distance; three inadmissible heuristics are backward 8-connected Dijkstra
-fields over the plain grid and over the grid with narrow passages blocked at
-the footprint's inscribed and circumscribed radii.
+sequences respecting a minimum turning radius) read from a `.mprim` file;
+the builtin set is the shipped `data/primitives/unicycle16.mprim`, loaded
+once per process. Collision checking places a convex polygon footprint at
+every swept pose. Edge costs are the primitive arc lengths in integer
+milli-meters. The anchor heuristic is straight-line distance; three
+inadmissible heuristics are backward 8-connected Dijkstra fields over the
+plain grid and over the grid with narrow passages blocked at the
+footprint's inscribed and circumscribed radii.
 
 `LatticeDomain` checks collisions on flat buffers. At construction it copies
 the map into one `bytes` buffer padded on every side with obstacle bytes,
@@ -34,6 +36,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .domain import SearchDomain
@@ -277,107 +280,16 @@ def footprint_collides(
     return False
 
 
-# -- motion primitive generation ---------------------------------------------
+# -- motion primitive files ----------------------------------------------------
+
+BUILTIN_PRIMITIVES = Path(__file__).parent / "data" / "primitives" / "unicycle16.mprim"
 
 
-def _supercover(points: list[tuple[float, float]]) -> list[tuple[int, int]]:
-    """Cells visited along a sampled curve, consecutive cells 8-adjacent."""
-    cells = []
-    for px, py in points:
-        cell = (round(px), round(py))
-        if not cells or cell != cells[-1]:
-            if cells and (abs(cell[0] - cells[-1][0]) > 1 or abs(cell[1] - cells[-1][1]) > 1):
-                raise ValueError("curve sampling too coarse for supercover")
-            cells.append(cell)
-    return cells
-
-
-def _line_points(x1: float, y1: float, samples: int) -> list[tuple[float, float]]:
-    return [(x1 * t / samples, y1 * t / samples) for t in range(samples + 1)]
-
-
-def _bezier_points(p1: tuple[float, float], p2: tuple[float, float],
-                   samples: int) -> list[tuple[float, float]]:
-    (x1, y1), (x2, y2) = p1, p2
-    pts = []
-    for k in range(samples + 1):
-        t = k / samples
-        u = 1 - t
-        pts.append((2 * u * t * x1 + t * t * x2, 2 * u * t * y1 + t * t * y2))
-    return pts
-
-
-def _polyline_length(points: list[tuple[float, float]]) -> float:
-    return sum(
-        math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:])
-    )
-
-
-def _arc_primitive(num_headings: int, theta: int, left: bool,
-                   min_turn_radius: float) -> MotionPrimitive:
-    h = num_headings
-    theta_end = (theta + 1) % h if left else (theta - 1) % h
-    v0 = heading_vector(h, theta)
-    v1 = heading_vector(h, theta_end)
-    end = (v0[0] + v1[0], v0[1] + v1[1])
-    phi0 = heading_angle(h, theta)
-    phi1 = heading_angle(h, theta_end)
-    dphi = abs(math.remainder(phi1 - phi0, math.tau))
-    chord = math.hypot(*end)
-    radius = chord / (2 * math.sin(dphi / 2))
-    if radius < min_turn_radius:
-        raise ValueError(
-            f"turn {theta}->{theta_end} has radius {radius:.2f} below "
-            f"the {min_turn_radius:.2f} minimum"
-        )
-    # Control point: intersection of the start and end tangent lines.
-    d0 = (math.cos(phi0), math.sin(phi0))
-    d1 = (math.cos(phi1), math.sin(phi1))
-    det = d0[0] * (-d1[1]) - d0[1] * (-d1[0])
-    t = (end[0] * (-d1[1]) - end[1] * (-d1[0])) / det
-    ctrl = (t * d0[0], t * d0[1])
-    points = _bezier_points(ctrl, (float(end[0]), float(end[1])), 256)
-    cells = _supercover(points)
-    half = len(cells) // 2
-    poses = tuple(
-        (cx, cy, theta if k < max(half, 1) else theta_end) for k, (cx, cy) in enumerate(cells)
-    )
-    if poses[-1][2] != theta_end:
-        poses = poses[:-1] + ((poses[-1][0], poses[-1][1], theta_end),)
-    cost = math.ceil(1000 * _polyline_length(points))
-    return MotionPrimitive(theta, theta_end, cost, poses)
-
-
-def _straight_primitive(num_headings: int, theta: int, multiple: int) -> MotionPrimitive:
-    vx, vy = heading_vector(num_headings, theta)
-    ex, ey = vx * multiple, vy * multiple
-    length = math.hypot(ex, ey)
-    points = _line_points(float(ex), float(ey), max(4 * (abs(ex) + abs(ey)), 4))
-    poses = tuple((cx, cy, theta) for cx, cy in _supercover(points))
-    return MotionPrimitive(theta, theta, math.ceil(1000 * length), poses)
-
-
-def default_primitive_set(
-    num_headings: int = 16,
-    min_turn_radius: float = 3.0,
-    long_length: float = 8.0,
-) -> list[MotionPrimitive]:
-    """Per heading: 1-step and ~`long_length`-cell straights, left/right arcs."""
-    prims = []
-    for theta in range(num_headings):
-        unit = math.hypot(*heading_vector(num_headings, theta))
-        prims.append(_straight_primitive(num_headings, theta, 1))
-        prims.append(
-            _straight_primitive(num_headings, theta, max(2, round(long_length / unit)))
-        )
-        prims.append(_arc_primitive(num_headings, theta, True, min_turn_radius))
-        prims.append(_arc_primitive(num_headings, theta, False, min_turn_radius))
-    return prims
-
-
-@functools.lru_cache(maxsize=8)
-def _builtin_primitives(num_headings: int) -> tuple[MotionPrimitive, ...]:
-    return tuple(default_primitive_set(num_headings))
+@functools.lru_cache(maxsize=1)
+def _builtin_primitives() -> tuple[MotionPrimitive, ...]:
+    """The shipped set, read once per process: per 16-fan heading, 1-cell and
+    ~8-cell straights and left and right turns of radius >= 3 cells."""
+    return tuple(load_primitives(BUILTIN_PRIMITIVES)[0])
 
 
 def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
@@ -597,7 +509,10 @@ class LatticeDomain(SearchDomain):
         self.grid = grid
         self.num_headings = num_headings
         if primitives is None:
-            primitives = _builtin_primitives(num_headings)
+            if num_headings != 16:
+                raise ValueError(f"the builtin primitives have 16 headings, not "
+                                 f"{num_headings}: pass primitives for {num_headings}")
+            primitives = _builtin_primitives()
         self.primitives = list(primitives)
         if not self.primitives:
             raise ValueError("no motion primitives loaded")

@@ -52,10 +52,11 @@ class PlannerConfig:
     down to 1, computed on the decimal values as written. time_budget is in
     clock seconds ('wall' monotonic seconds, or deterministic virtual
     seconds advancing by `tick` per expansion and per publish).
-    check_invariants asserts the queue invariants and raises ValueError when
-    the domain breaks its contract (edge costs not positive integers, a
-    heuristic < 0, +inf in the anchor, or nonzero at a goal); a NaN
-    heuristic raises ValueError with or without it.
+    A field out of range raises ValueError naming it. check_invariants
+    asserts the queue invariants and raises ValueError when the domain
+    breaks its contract (edge costs not positive integers, a heuristic < 0,
+    +inf in the anchor, or nonzero at a goal); a NaN heuristic raises
+    ValueError with or without it.
     """
 
     w1_init: float = 1.0
@@ -70,16 +71,17 @@ class PlannerConfig:
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
-        if self.w1_init < 1 or self.w2_init < 1:
-            raise ValueError("w1_init and w2_init must be >= 1")
-        if self.dw1 <= 0 or self.dw2 <= 0:
-            raise ValueError("dw1 and dw2 must be > 0")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.clock not in ("wall", "virtual"):
-            raise ValueError(f"unknown clock {self.clock!r}")
-        if self.tick <= 0:
-            raise ValueError("tick must be > 0")
+        for name, ok, expected in (
+            ("w1_init", self.w1_init >= 1, ">= 1"),
+            ("w2_init", self.w2_init >= 1, ">= 1"),
+            ("dw1", self.dw1 > 0, "> 0"),
+            ("dw2", self.dw2 > 0, "> 0"),
+            ("mode", self.mode in MODES, f"one of {', '.join(MODES)}"),
+            ("clock", self.clock in ("wall", "virtual"), "wall or virtual"),
+            ("tick", self.tick > 0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)!r}: expected {expected}")
 
 
 @dataclass(frozen=True)

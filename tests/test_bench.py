@@ -239,13 +239,13 @@ def test_verify_manifest_passes_for_honest_run():
 
 
 def test_grid_manifest_with_primitive_file(tmp_path):
-    from amhastar.grid import OccupancyGrid, default_primitive_set
+    from amhastar.grid import BUILTIN_PRIMITIVES, OccupancyGrid, load_primitives
     from helpers import save_primitives
 
     map_path = tmp_path / "m.map"
     map_path.write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
     prim_path = tmp_path / "p.mprim"
-    save_primitives(default_primitive_set(16), 16, prim_path)
+    save_primitives(load_primitives(BUILTIN_PRIMITIVES)[0], 16, prim_path)
     manifest = RunManifest(
         algo="wastar", domain="grid", map=str(map_path),
         start="3 7 0", goal="11 7", footprint="rect:0.4x0.3",
@@ -272,6 +272,8 @@ def test_from_values_coerces_by_field_type():
     (dict(oracle_cap="lots"), r"oracle_cap = 'lots': expected int"),
     (dict(instances="missing.txt"), r"instances = missing.txt: .*No such file"),
     (dict(algos="amha, amah"), r"^algos = 'amha, amah': unknown modes \['amah'\]"),
+    (dict(clock="wal"), r"^clock = 'wal': expected wall or virtual$"),
+    (dict(w1="0.5"), r"^w1_init = 0.5: expected >= 1$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))
@@ -325,12 +327,12 @@ def test_non_integer_scenario_field_names_the_line(tmp_path):
 
 
 def test_grid_config_primitives_relative_to_the_config(tmp_path, monkeypatch):
-    from amhastar.grid import default_primitive_set
+    from amhastar.grid import BUILTIN_PRIMITIVES, load_primitives
     from helpers import save_primitives
 
     config_dir = tmp_path / "cfg"
     config_dir.mkdir()
-    save_primitives(default_primitive_set(16), 16, config_dir / "p.mprim")
+    save_primitives(load_primitives(BUILTIN_PRIMITIVES)[0], 16, config_dir / "p.mprim")
     cfg = grid_config(config_dir, "3 7 0 11 7\n", primitives="p.mprim")
     monkeypatch.chdir(tmp_path)  # the paths must not depend on the working directory
     out = run_matrix(cfg, tmp_path / "out")

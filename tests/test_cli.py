@@ -2,7 +2,10 @@
 import shlex
 from pathlib import Path
 
+import pytest
+
 import amhastar
+from amhastar.bench import RunManifest
 from amhastar.cli import main
 from amhastar.tiles import format_instance_line, random_solvable_board
 
@@ -54,6 +57,28 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "start = '3 x 0': expected 3 integers\n"
+
+
+@pytest.mark.parametrize("argv, fields, message", [
+    (["solve-grid", "--map", "nope.map", "--start", "3 15 0", "--goal", "26 15"], None,
+     "No such file or directory: 'nope.map'"),
+    (["verify"], None, "No such file or directory"),
+    (["verify"], dict(map=""), "No such file or directory: ''"),
+    (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
+], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
+        "verify-bad-start"])
+def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
+    if argv == ["verify"]:
+        path = tmp_path / "run.txt"
+        argv = argv + ["--manifest", str(path)]
+        if fields is not None:
+            grid = dict(domain="grid", map=str(MAPS / "yard30.map"), start="3 15 0",
+                        goal="26 15", clock="virtual")
+            path.write_text(RunManifest(**{**grid, **fields}).to_text())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and message in err, err
 
 
 def test_no_solution_exit_code(capsys):

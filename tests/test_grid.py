@@ -16,7 +16,6 @@ from amhastar.grid import (
     OccupancyGrid,
     RobotFootprint,
     clearance_field,
-    default_primitive_set,
     dijkstra_field,
     footprint_cell_mask,
     footprint_collides,
@@ -81,28 +80,34 @@ def test_out_of_bounds_is_obstacle():
 # -- motion primitives ------------------------------------------------------------
 
 
+def shipped_primitives():
+    prims, headings = load_primitives(shipped("primitives/unicycle16.mprim"))
+    assert headings == 16
+    return prims
+
+
 def test_default_set_has_four_primitives_per_heading():
-    prims = default_primitive_set(16)
+    prims = shipped_primitives()
     assert len(prims) == 64
     for theta in range(16):
         assert sum(1 for p in prims if p.theta_start == theta) == 4
 
 
 def test_primitive_sweeps_are_continuous():
-    for p in default_primitive_set(16):
+    for p in shipped_primitives():
         for (x0, y0, _), (x1, y1, _) in zip(p.poses, p.poses[1:]):
             assert abs(x1 - x0) <= 1 and abs(y1 - y0) <= 1
 
 
 def test_primitive_cost_covers_euclidean_chord():
     # Needed for the metric anchor heuristic to stay admissible.
-    for p in default_primitive_set(16):
+    for p in shipped_primitives():
         ex, ey, _ = p.end
         assert p.cost_milli >= 1000 * math.hypot(ex, ey) - 1e-6
 
 
 def test_turns_respect_minimum_radius():
-    for p in default_primitive_set(16, min_turn_radius=3.0):
+    for p in shipped_primitives():
         if p.theta_start == p.theta_end:
             continue
         ex, ey, _ = p.end
@@ -116,13 +121,8 @@ def test_turns_respect_minimum_radius():
         assert radius >= 3.0
 
 
-def test_generation_rejects_unreachable_radius():
-    with pytest.raises(ValueError):
-        default_primitive_set(16, min_turn_radius=50.0)
-
-
 def test_primitive_file_round_trip(tmp_path):
-    prims = default_primitive_set(16)
+    prims = shipped_primitives()
     path = tmp_path / "set.mprim"
     save_primitives(prims, 16, path)
     again, headings = load_primitives(path)
@@ -130,10 +130,12 @@ def test_primitive_file_round_trip(tmp_path):
     assert again == prims
 
 
-def test_shipped_primitive_file_matches_builtin():
-    prims, headings = load_primitives(shipped("primitives/unicycle16.mprim"))
-    assert headings == 16
-    assert prims == default_primitive_set(16)
+def test_default_lattice_uses_the_shipped_primitives():
+    g = OccupancyGrid.empty(9, 9)
+    dom = LatticeDomain(g, (4, 4, 0), (8, 4), footprint=SMALL)
+    assert dom.primitives == shipped_primitives()
+    with pytest.raises(ValueError, match="16 headings, not 8"):
+        LatticeDomain(g, (4, 4, 0), (8, 4), num_headings=8, footprint=SMALL)
 
 
 @pytest.mark.parametrize("body, match", [
@@ -632,6 +634,33 @@ def _unit_primitives(num_headings):
     return prims + _shuttle_primitives(num_headings, 1)
 
 
+def _fan_line(a, b):
+    """The cells after `a` on an 8-connected line from `a` to `b`."""
+    (ax, ay), (bx, by) = a, b
+    n = max(abs(bx - ax), abs(by - ay))
+    return [(ax + round(k * (bx - ax) / n), ay + round(k * (by - ay) / n)) for k in range(1, n + 1)]
+
+
+def _fan_primitives(num_headings):
+    """Per heading: a straight two heading vectors long, and left and right
+    turns along the heading's vector and then the next heading's."""
+    prims = []
+    for t in range(num_headings):
+        vx, vy = heading_vector(num_headings, t)
+        line = [(0, 0)] + _fan_line((0, 0), (2 * vx, 2 * vy))
+        prims.append(MotionPrimitive(t, t, math.ceil(2000 * math.hypot(vx, vy)),
+                                     tuple((x, y, t) for x, y in line)))
+        for turn in (1, -1):
+            u = (t + turn) % num_headings
+            ux, uy = heading_vector(num_headings, u)
+            first = [(0, 0)] + _fan_line((0, 0), (vx, vy))
+            second = _fan_line((vx, vy), (vx + ux, vy + uy))
+            cost = math.ceil(1000 * (math.hypot(vx, vy) + math.hypot(ux, uy)))
+            prims.append(MotionPrimitive(t, u, cost, tuple(
+                [(x, y, t) for x, y in first] + [(x, y, u) for x, y in second])))
+    return prims
+
+
 @pytest.mark.parametrize("num_headings", (4, 8, 16))
 @pytest.mark.parametrize("resolution", (0.25, 0.5, 1.0))
 @pytest.mark.parametrize("footprint", (RobotFootprint.rectangle(1.2, 0.8),
@@ -646,8 +675,7 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
     width, height = 23, 19
     grid = _random_border_grid(rng, width, height, resolution)
     if kind == "long":
-        prims = (default_primitive_set(num_headings, min_turn_radius=1.0, long_length=2.0)
-                 + _shuttle_primitives(num_headings, 6))
+        prims = _fan_primitives(num_headings) + _shuttle_primitives(num_headings, 6)
     else:
         prims = _unit_primitives(num_headings)
     start = (width // 2, height // 2, 0)
