@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .domain import SearchDomain
-from .grid import (LatticeDomain, OccupancyGrid, RobotFootprint, _line_error,
-                   load_primitives, load_scenarios)
+from .domain import SearchDomain, _line_error
+from .grid import LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives, load_scenarios
 from .oracle import tile_goal_distances, uniform_cost_optimal
 from .planner import MODES, Planner, PlannerConfig, SolutionRecord
 from .tiles import TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line
@@ -137,14 +136,14 @@ class RunManifest:
             )
             return dom
         if self.domain == "grid":
-            grid = OccupancyGrid.load(self.map)
+            grid = _load_file("map", self.map, OccupancyGrid.load)
             start = tuple(_ints("start", self.start, (3,)))
             gx, gy, *gt = _ints("goal", self.goal, (2, 3))
             goal = (gx, gy, gt[0] if gt else None)
             if self.primitives == "builtin16":
                 prims, num_headings = None, 16
             else:
-                prims, num_headings = load_primitives(self.primitives)
+                prims, num_headings = _load_file("primitives", self.primitives, load_primitives)
             return LatticeDomain(
                 grid,
                 start,  # type: ignore[arg-type]
@@ -195,6 +194,14 @@ def _ints(key: str, text: str, counts: tuple[int, ...]) -> list[int]:
         expected = " or ".join(map(str, counts))
         raise ValueError(f"{key} = {text!r}: expected {expected} integers")
     return values
+
+
+def _load_file(key: str, path: str, load):
+    """`load(path)` for a manifest's file field; its errors name the key."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{key} = {path!r}: {err}") from None
 
 
 def parse_footprint(text: str) -> RobotFootprint:
@@ -323,9 +330,9 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
         raise ValueError(f"bench config keys {per_run} are set per run; use algos, "
                          "instances or scenarios")
     if fields.get("map"):
-        fields["map"] = str((config_dir / fields["map"]).resolve())
+        fields["map"] = _config_file(fields, "map", config_dir)
     if fields.get("primitives", "builtin16") != "builtin16":
-        fields["primitives"] = str((config_dir / fields["primitives"]).resolve())
+        fields["primitives"] = _config_file(fields, "primitives", config_dir)
     base = RunManifest.from_values(fields)
     base.build_config()  # a bad planner parameter raises here, not in every run
     if base.domain == "tiles":
@@ -344,6 +351,15 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
         for algo in algos
         for k, run in enumerate(runs)
     ]
+
+
+def _config_file(fields: dict[str, str], key: str, config_dir: Path) -> str:
+    """The absolute path of the file a config names under `key`, relative to
+    the config; a missing file is rejected before any run."""
+    path = (config_dir / fields[key]).resolve()
+    if not path.is_file():
+        raise ValueError(f"{key} = {fields[key]}: no such file {path}")
+    return str(path)
 
 
 def _read_instances(values: dict[str, str], key: str, config_dir: Path, load) -> list:

@@ -1,8 +1,14 @@
-"""Abstract search-domain interface and state interning."""
+"""Abstract search-domain interface, state interning, and the line-numbered
+parse error the input readers share."""
 from __future__ import annotations
 
 import abc
 from typing import Hashable, Sequence
+
+
+def _line_error(lineno: int, problem: str) -> ValueError:
+    """A parse error that names the 1-based line of the input it is about."""
+    return ValueError(f"line {lineno}: {problem}")
 
 
 class StateInterner:

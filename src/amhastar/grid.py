@@ -21,11 +21,26 @@ offsets from the pose's padded index. A primitive is then clear when
 The heuristic fields are `array('d')` indexed by the cell index
 `sid // num_headings`.
 
+Before any `find`, one compare can clear a primitive (the clearance gate,
+after the obstacle-distance test of Likhachev & Ferguson, IJRR 2009). Each
+primitive stores an anchor, the rounded centre of its swept cells' bounding
+box, and `reach`, the largest euclidean distance in cells from the anchor
+to a swept cell. The map's clearance is the exact octile distance to the
+nearest obstacle or off-map ring cell; it is copied into a buffer aligned
+with the collision buffer, where off-map cells read 0.0. A swept cell is at
+octile distance at most `OCTILE_OVER_EUCLID * reach * resolution` from the
+anchor, since octile distance exceeds euclidean by a factor of at most
+sqrt(4 - 2*sqrt(2)) ~ 1.0824, and clamping an off-map cell onto the ring
+brings it no farther. So when the anchor's clearance exceeds that
+threshold, no swept cell is an obstacle or off the map, and the primitive
+is clear without its runs or the end-cell bounds test.
+
 What depends only on the map is cached per map content (width, height,
 resolution and cells, not the grid object): the clearance field and, per
 blocking radius, the blocked-cell mask, padded by one blocked cell on every
-side. Each goal's Dijkstra fields are swept on that padded mask, so a
-neighbour needs no bounds test.
+side; and, per padding width, the gate's padded clearance. Each goal's
+Dijkstra fields are swept on that padded mask, so a neighbour needs no
+bounds test.
 """
 from __future__ import annotations
 
@@ -39,9 +54,13 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .domain import SearchDomain
+from .domain import SearchDomain, _line_error
 
 INF = math.inf
+# The most an octile distance can exceed the euclidean distance of the same
+# offset, sqrt(4 - 2*sqrt(2)) ~ 1.0824, widened to absorb the clearance
+# field's float sums.
+OCTILE_OVER_EUCLID = math.sqrt(4 - 2 * math.sqrt(2)) * (1 + 1e-9)
 
 # 16-heading direction fan: ascending angles, integer displacements.
 DIRS16 = (
@@ -65,11 +84,6 @@ def heading_vector(num_headings: int, theta: int) -> tuple[int, int]:
 def heading_angle(num_headings: int, theta: int) -> float:
     dx, dy = heading_vector(num_headings, theta)
     return math.atan2(dy, dx)
-
-
-def _line_error(lineno: int, problem: str) -> ValueError:
-    """A parse error that names the 1-based line of the input it is about."""
-    return ValueError(f"line {lineno}: {problem}")
 
 
 class OccupancyGrid:
@@ -378,6 +392,20 @@ def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
     return bytes(mask)
 
 
+@functools.lru_cache(maxsize=4)
+def _padded_clearance(width: int, height: int, resolution: float, cells: bytes,
+                      pad: int) -> array:
+    """`_map_clearance` laid out with stride `width + 2 * pad`, padded by
+    `pad` cells of clearance 0.0 on every side."""
+    clearance = _map_clearance(width, height, resolution, cells)
+    stride = width + 2 * pad
+    padded = array("d", [0.0]) * (stride * (height + 2 * pad))
+    for y in range(height):
+        row = (y + pad) * stride + pad
+        padded[row:row + width] = clearance[y * width:(y + 1) * width]
+    return padded
+
+
 def dijkstra_field(
     grid: OccupancyGrid,
     goal: tuple[int, int],
@@ -489,7 +517,11 @@ class LatticeDomain(SearchDomain):
     euclidean value (fallbacks are counted in `fallback_lookups`).
 
     Collision checks read a padded snapshot of the map taken at
-    construction: later `grid.set_obstacle` calls are not seen.
+    construction: later `grid.set_obstacle` calls are not seen. A primitive
+    whose anchor cell's clearance exceeds its threshold (`OCTILE_OVER_EUCLID`
+    times its reach from the anchor, in metres) sweeps no obstacle and stays
+    on the map, so `successors` takes it without scanning its row runs; the
+    successors are the same either way.
 
     `clearance` is the per-map cached clearance field, shared by every
     domain built on a map with the same content: treat it as read-only.
@@ -538,13 +570,18 @@ class LatticeDomain(SearchDomain):
         self._origin = pad * stride + pad  # buffer index of cell (0, 0)
         self._mask_runs = [_row_runs(m, stride) for m in masks]
         # Per start heading: (primitive, edge cost, end dx, end dy, child sid
-        # minus the sid of the parent's cell at heading 0, swept row runs).
+        # minus the sid of the parent's cell at heading 0, swept row runs,
+        # the gate's anchor offset and clearance threshold).
         self._by_heading: list[list[tuple]] = [[] for _ in range(num_headings)]
-        for p, cells in zip(self.primitives, swept_sets):
+        for p, swept in zip(self.primitives, swept_sets):
             ex, ey, et = p.end
+            xs, ys = [sx for sx, _ in swept], [sy for _, sy in swept]
+            ax, ay = round((min(xs) + max(xs)) / 2), round((min(ys) + max(ys)) / 2)
+            reach = max(math.hypot(sx - ax, sy - ay) for sx, sy in swept)
             self._by_heading[p.theta_start].append((
                 p, math.ceil(p.cost_milli * grid.resolution), ex, ey,
-                (ey * w + ex) * num_headings + et, _row_runs(cells, stride),
+                (ey * w + ex) * num_headings + et, _row_runs(swept, stride),
+                ay * stride + ax, OCTILE_OVER_EUCLID * reach * grid.resolution,
             ))
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
@@ -561,8 +598,9 @@ class LatticeDomain(SearchDomain):
         radii = (0.0, self.footprint.inscribed_radius, self.footprint.circumscribed_radius)
         self.block_radii = radii
         self.fields = [array("d", dijkstra_field(grid, self.goal_cell, r)) for r in radii]
-        self.clearance = _map_clearance(grid.width, grid.height, grid.resolution,
-                                        bytes(grid.cells))
+        cells = bytes(grid.cells)
+        self.clearance = _map_clearance(w, h, grid.resolution, cells)
+        self._clear = _padded_clearance(w, h, grid.resolution, cells, pad)
         self.fallback_lookups = 0
         self._w = w
         self._start_sid = self._intern(sx, sy, st)
@@ -599,10 +637,14 @@ class LatticeDomain(SearchDomain):
         y, x = divmod(xy, w)
         height = self.grid.height
         find = self._buf.find
+        clear = self._clear
         base = y * self._stride + x + self._origin
         sid0 = xy * h
         out = []
-        for _, cost, ex, ey, delta, runs in self._by_heading[t]:
+        for _, cost, ex, ey, delta, runs, anchor, safe in self._by_heading[t]:
+            if clear[base + anchor] > safe:
+                out.append((sid0 + delta, cost))
+                continue
             if not (0 <= x + ex < w and 0 <= y + ey < height):
                 continue
             for a, b in runs:

@@ -22,8 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domain import SearchDomain, StateInterner
-from .grid import _line_error
+from .domain import SearchDomain, StateInterner, _line_error
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,16 @@ def test_build_domain_names_a_bad_text_field(key, value, message):
         manifest.build_domain()
 
 
+@pytest.mark.parametrize("key, value", [("map", ""), ("map", "nope.map"),
+                                        ("primitives", "nope.mprim")])
+def test_build_domain_names_a_missing_file(key, value):
+    yard = Path(amhastar.__file__).parent / "data" / "maps" / "yard30.map"
+    manifest = RunManifest(**{**dict(domain="grid", map=str(yard), start="3 15 0", goal="26 15"),
+                              key: value})
+    with pytest.raises(ValueError, match=rf"^{key} = '{value}': .*No such file"):
+        manifest.build_domain()
+
+
 def test_malformed_board_line_names_the_line(tmp_path):
     good = format_instance_line(random_solvable_board(3, 3, seed=1))
     cfg = write_config(tmp_path, ["# boards", good, "3 3 1 2 x 4 5 6 7 8 0"])
@@ -311,12 +321,20 @@ def grid_config(tmp_path, scenario, **extra):
 
     (tmp_path / "m.map").write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
     (tmp_path / "q.scen").write_text(scenario)
-    lines = ["domain = grid", "algos = wastar", "map = m.map", "scenarios = q.scen",
-             "footprint = rect:0.4x0.3", "w1 = 2", "clock = virtual"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    values = dict(domain="grid", algos="wastar", map="m.map", scenarios="q.scen",
+                  footprint="rect:0.4x0.3", w1="2", clock="virtual")
+    values.update(extra)
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return cfg
+
+
+@pytest.mark.parametrize("key, value", [("map", "nope.map"), ("primitives", "nope.mprim")])
+def test_grid_config_with_a_missing_file_is_rejected_before_any_run(tmp_path, key, value):
+    cfg = grid_config(tmp_path, "3 7 0 11 7\n", algos="wastar,amha", **{key: value})
+    with pytest.raises(ValueError, match=rf"^{key} = {value}: no such file .*{value}$"):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_scenario_field_names_the_line(tmp_path):

@@ -63,7 +63,7 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["solve-grid", "--map", "nope.map", "--start", "3 15 0", "--goal", "26 15"], None,
      "No such file or directory: 'nope.map'"),
     (["verify"], None, "No such file or directory"),
-    (["verify"], dict(map=""), "No such file or directory: ''"),
+    (["verify"], dict(map=""), "map = '': [Errno 2] No such file or directory: ''"),
     (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start"])

@@ -1,4 +1,5 @@
 """Grid domain: maps, primitives, footprints, fields, and the full lattice."""
+import functools
 import math
 import random
 import re
@@ -391,6 +392,7 @@ def test_clearance_equals_reference_sweep_exactly():
 def _count_clearance_calls(monkeypatch):
     grid_mod._map_clearance.cache_clear()
     grid_mod._blocked_mask.cache_clear()
+    grid_mod._padded_clearance.cache_clear()
     calls = []
     real = grid_mod.clearance_field
 
@@ -409,13 +411,17 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 1
     assert dom2.clearance is dom1.clearance
+    assert dom2._clear is dom1._clear
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
     changed.set_obstacle(10, 17)
-    LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
+    dom3 = LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 2
+    assert dom3._clear is not dom1._clear
+    assert dom3._clear[17 * dom3._stride + 10 + dom3._origin] == 0.0
     assert grid_mod._map_clearance.cache_info().maxsize is not None
     assert grid_mod._blocked_mask.cache_info().maxsize is not None
+    assert grid_mod._padded_clearance.cache_info().maxsize is not None
 
 
 def test_fields_see_obstacles_set_after_a_build(monkeypatch):
@@ -429,6 +435,8 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     assert len(calls) == 2
     assert all(f[cell] == INF for f in after.fields)
     assert after.clearance[cell] == 0.0
+    padded = 8 * after._stride + 9 + after._origin
+    assert after._clear[padded] == 0.0 < before._clear[padded]
     clearance = clearance_field(g)
     for r, field in zip(after.block_radii, after.fields):
         assert list(field) == reference_dijkstra_field(g, (15, 12), r, clearance)
@@ -605,8 +613,12 @@ def _random_border_grid(rng, width, height, resolution):
     return g
 
 
-def _reference_successors(grid, footprint, num_headings, primitives, pose):
-    """Successor tuples from `footprint_collides` on every swept pose."""
+def _reference_successors(grid, footprint, num_headings, primitives, pose, collides=None):
+    """Successor tuples from `footprint_collides` on every swept pose, or
+    from `collides(pose)` in its place."""
+    if collides is None:
+        def collides(p):
+            return footprint_collides(grid, p, footprint, num_headings)
     x, y, t = pose
     w = grid.width
     out = []
@@ -616,8 +628,7 @@ def _reference_successors(grid, footprint, num_headings, primitives, pose):
         ex, ey, et = prim.end
         if not grid.in_bounds(x + ex, y + ey):
             continue
-        if any(footprint_collides(grid, (x + px, y + py, pt), footprint, num_headings)
-               for px, py, pt in prim.poses):
+        if any(collides((x + px, y + py, pt)) for px, py, pt in prim.poses):
             continue
         sid = ((y + ey) * w + (x + ex)) * num_headings + et
         out.append((sid, math.ceil(prim.cost_milli * grid.resolution)))
@@ -716,6 +727,51 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
         for i, field in enumerate(fields, start=1):
             value = field[y * width + x]
             assert dom.heuristic(sid, i) == (euclid if value == INF else value)
+
+
+def _sparse_grid(seed):
+    """A 40x36 map at 0.25 m with about 1% of its cells obstacles."""
+    rng = random.Random(seed)
+    g = OccupancyGrid.empty(40, 36, 0.25)
+    for y in range(g.height):
+        for x in range(g.width):
+            if rng.random() < 0.01:
+                g.set_obstacle(x, y)
+    return g
+
+
+@pytest.mark.parametrize("source", ("sparse-1", "sparse-2", "open20"))
+def test_clearance_gate_agrees_with_reference(source):
+    # On sparse maps many primitives clear the gate, so there a threshold
+    # or anchor that is off passes primitives that sweep an obstacle or
+    # leave the map. The border-dense maps above seldom reach the gate.
+    if source == "open20":
+        grid = OccupancyGrid.load(shipped("maps/open20.map"))
+    else:
+        grid = _sparse_grid(source)
+    footprint = RobotFootprint.rectangle(1.2, 0.8)
+    start = (grid.width // 2, grid.height // 2, 0)
+    for dx, dy in footprint_cell_mask(footprint, grid.resolution, 16, 0):
+        grid.set_obstacle(start[0] + dx, start[1] + dy, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a goal cell too narrow for a field
+        dom = LatticeDomain(grid, start, (start[0], start[1]), footprint=footprint)
+    prims = shipped_primitives()
+    # The map does not change, so each swept pose is checked once.
+    collides = functools.lru_cache(maxsize=None)(
+        lambda pose: footprint_collides(grid, pose, footprint, 16))
+    checks = gated = 0
+    for y in range(grid.height):
+        for x in range(grid.width):
+            base = y * dom._stride + x + dom._origin
+            for t in range(16):
+                sid = (y * grid.width + x) * 16 + t
+                assert dom.successors(sid) == _reference_successors(
+                    grid, footprint, 16, prims, (x, y, t), collides), (x, y, t)
+                for *_, anchor, safe in dom._by_heading[t]:
+                    checks += 1
+                    gated += dom._clear[base + anchor] > safe
+    assert gated > checks // 10, (gated, checks)
 
 
 def test_scenario_file_parsing(tmp_path):

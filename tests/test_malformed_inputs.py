@@ -139,8 +139,10 @@ def test_mutants_are_rejected_cleanly(source, mutation, tmp_path, bench_manifest
         original = bench_manifests[source.startswith("grid")]
     else:
         original = next(p for p in SHIPPED if p.name == source)
-    # Bench configs keep their sibling board and scenario files beside them.
+    # Bench configs keep their sibling board and scenario files beside them,
+    # and the shipped maps where their relative `map` paths point.
     shutil.copytree(CONFIGS, tmp_path / "configs")
+    shutil.copytree(DATA / "maps", tmp_path / "src" / "amhastar" / "data" / "maps")
     target = tmp_path / "configs" / original.name
     read = reader_for(original.name)
     text = original.read_text()
