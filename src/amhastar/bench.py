@@ -136,21 +136,21 @@ class RunManifest:
             )
             return dom
         if self.domain == "grid":
-            grid = _load_file("map", self.map, OccupancyGrid.load)
+            grid = _parse_field("map", self.map, OccupancyGrid.load)
             start = tuple(_ints("start", self.start, (3,)))
             gx, gy, *gt = _ints("goal", self.goal, (2, 3))
             goal = (gx, gy, gt[0] if gt else None)
             if self.primitives == "builtin16":
                 prims, num_headings = None, 16
             else:
-                prims, num_headings = _load_file("primitives", self.primitives, load_primitives)
+                prims, num_headings = _parse_field("primitives", self.primitives, load_primitives)
             return LatticeDomain(
                 grid,
                 start,  # type: ignore[arg-type]
                 goal,
                 primitives=prims,
                 num_headings=num_headings,
-                footprint=parse_footprint(self.footprint),
+                footprint=_parse_field("footprint", self.footprint, parse_footprint),
             )
         raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
 
@@ -196,19 +196,25 @@ def _ints(key: str, text: str, counts: tuple[int, ...]) -> list[int]:
     return values
 
 
-def _load_file(key: str, path: str, load):
-    """`load(path)` for a manifest's file field; its errors name the key."""
+def _parse_field(key: str, value: str, parse):
+    """`parse(value)` for a manifest field, such as a file to load; its
+    errors name the key."""
     try:
-        return load(path)
+        return parse(value)
     except (OSError, ValueError) as err:
-        raise ValueError(f"{key} = {path!r}: {err}") from None
+        raise ValueError(f"{key} = {value!r}: {err}") from None
 
 
 def parse_footprint(text: str) -> RobotFootprint:
-    if text.startswith("rect:"):
-        length, width = text[5:].split("x")
-        return RobotFootprint.rectangle(float(length), float(width))
-    raise ValueError(f"unsupported footprint {text!r} (use rect:LxW)")
+    """`rect:LxW`, a rectangle of finite positive length and width in metres."""
+    dims = text[5:].split("x") if text.startswith("rect:") else []
+    try:
+        length, width = map(float, dims)
+    except ValueError:
+        length = width = math.nan
+    if not (0 < length < math.inf and 0 < width < math.inf):
+        raise ValueError("expected rect:LxW, two finite positive lengths in metres")
+    return RobotFootprint.rectangle(length, width)
 
 
 def run_from_manifest(
@@ -341,6 +347,7 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
     elif base.domain == "grid":
         if not base.map:
             raise ValueError("bench config needs map = <file> for domain grid")
+        _parse_field("footprint", base.footprint, parse_footprint)  # raises here, not per run
         runs = [dict(start=" ".join(map(str, start)),
                      goal=" ".join(str(v) for v in goal if v is not None))
                 for start, goal in _read_instances(values, "scenarios", config_dir, load_scenarios)]

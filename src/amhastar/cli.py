@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import MetricsRow, RunManifest, curve_csv
-from .planner import MODES, Planner
+from .planner import MODES
 from .tiles import format_instance_line, random_solvable_board
 
 MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
@@ -36,9 +36,7 @@ def _manifest_from_args(args: argparse.Namespace, **fields) -> RunManifest:
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
-    domain = manifest.build_domain()
-    planner = Planner(domain, manifest.build_config())
-    records = planner.run()
+    records, planner, domain = bench.run_from_manifest(manifest)
     for rec in records:
         print(
             f"t={rec.elapsed:.6f}s cost={rec.cost} bound={rec.bound:g} "

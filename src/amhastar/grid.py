@@ -10,35 +10,19 @@ inadmissible heuristics are backward 8-connected Dijkstra fields over the
 plain grid and over the grid with narrow passages blocked at the
 footprint's inscribed and circumscribed radii.
 
-`LatticeDomain` checks collisions on flat buffers. At construction it copies
-the map into one `bytes` buffer padded on every side with obstacle bytes,
-as wide as the farthest swept cell offset, so cells off the map read as
-obstacles without a bounds test. Each primitive's swept cells (its poses'
-footprint masks, relative to the start pose) are stored as row runs:
-maximal stretches of consecutive cells in one row, as `(start, end)` flat
-offsets from the pose's padded index. A primitive is then clear when
-`buf.find(1, base + start, base + end)` finds nothing for each of its runs.
-The heuristic fields are `array('d')` indexed by the cell index
-`sid // num_headings`.
-
-Before any `find`, one compare can clear a primitive (the clearance gate,
-after the obstacle-distance test of Likhachev & Ferguson, IJRR 2009). Each
-primitive stores an anchor, the rounded centre of its swept cells' bounding
-box, and `reach`, the largest euclidean distance in cells from the anchor
-to a swept cell. The map's clearance is the exact octile distance to the
-nearest obstacle or off-map ring cell; it is copied into a buffer aligned
-with the collision buffer, where off-map cells read 0.0. A swept cell is at
-octile distance at most `OCTILE_OVER_EUCLID * reach * resolution` from the
-anchor, since octile distance exceeds euclidean by a factor of at most
-sqrt(4 - 2*sqrt(2)) ~ 1.0824, and clamping an off-map cell onto the ring
-brings it no farther. So when the anchor's clearance exceeds that
-threshold, no swept cell is an obstacle or off the map, and the primitive
-is clear without its runs or the end-cell bounds test.
+`LatticeDomain` reads collisions from collision maps, computed once per map
+for every cell, as lattice planners precompute each primitive's swept cells
+(Likhachev & Ferguson, IJRR 2009): per start heading and chunk of up to 8
+of its primitives, one byte per cell whose bit k is set where the chunk's
+k-th primitive sweeps an obstacle or leaves the map. `successors` looks the
+byte up in a table of the free primitives' successors. It needs no bounds
+test: every footprint mask holds its own cell, so the end cell is swept.
+The heuristic fields are `array('d')` indexed by `sid // num_headings`.
 
 What depends only on the map is cached per map content (width, height,
-resolution and cells, not the grid object): the clearance field and, per
-blocking radius, the blocked-cell mask, padded by one blocked cell on every
-side; and, per padding width, the gate's padded clearance. Each goal's
+resolution and cells, not the grid object): the clearance field; per
+blocking radius, the blocked-cell mask, padded by one blocked cell on
+every side; and, per set of swept cells, the collision maps. Each goal's
 Dijkstra fields are swept on that padded mask, so a neighbour needs no
 bounds test.
 """
@@ -50,17 +34,12 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .domain import SearchDomain, _line_error
 
 INF = math.inf
-# The most an octile distance can exceed the euclidean distance of the same
-# offset, sqrt(4 - 2*sqrt(2)) ~ 1.0824, widened to absorb the clearance
-# field's float sums.
-OCTILE_OVER_EUCLID = math.sqrt(4 - 2 * math.sqrt(2)) * (1 + 1e-9)
 
 # 16-heading direction fan: ascending angles, integer displacements.
 DIRS16 = (
@@ -392,20 +371,6 @@ def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
     return bytes(mask)
 
 
-@functools.lru_cache(maxsize=4)
-def _padded_clearance(width: int, height: int, resolution: float, cells: bytes,
-                      pad: int) -> array:
-    """`_map_clearance` laid out with stride `width + 2 * pad`, padded by
-    `pad` cells of clearance 0.0 on every side."""
-    clearance = _map_clearance(width, height, resolution, cells)
-    stride = width + 2 * pad
-    padded = array("d", [0.0]) * (stride * (height + 2 * pad))
-    for y in range(height):
-        row = (y + pad) * stride + pad
-        padded[row:row + width] = clearance[y * width:(y + 1) * width]
-    return padded
-
-
 def dijkstra_field(
     grid: OccupancyGrid,
     goal: tuple[int, int],
@@ -507,6 +472,52 @@ def _row_runs(offsets, stride: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in runs)
 
 
+@functools.lru_cache(maxsize=4)
+def _collision_maps(width: int, height: int, cells: bytes,
+                    sweeps: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+                    ) -> tuple[tuple[bytes, ...], ...]:
+    """Per start heading, per chunk of up to 8 of its primitives in order,
+    `width * height` bytes whose bit k is set at every cell from which the
+    chunk's k-th primitive sweeps an obstacle or leaves the map.
+
+    `sweeps[t]` holds the swept cell offsets of heading t's primitives. The
+    map, padded by the widest sweep with obstacle bytes, is read as one int
+    with a byte per cell: shifting it by whole bytes moves the map by a cell
+    offset, and or-ing 0/1 bytes never carries into a neighbour. A
+    primitive's hits are the or of the map shifted by its swept offsets, one
+    shift per row run, each run's or read from a doubling memo of spans.
+    """
+    pad = max((abs(v) for heading in sweeps for swept in heading
+               for cell in swept for v in cell), default=0)
+    stride = width + 2 * pad
+    padded = bytearray(b"\x01") * (stride * (height + 2 * pad))
+    for y in range(height):
+        row = (y + pad) * stride + pad
+        padded[row:row + width] = cells[y * width:(y + 1) * width]
+    size, origin = len(padded), pad * stride + pad
+    spans = {1: int.from_bytes(padded, "little")}
+
+    def span(n: int) -> int:
+        """The or of the padded map shifted down by 0..n-1 cells."""
+        if n not in spans:
+            half = n // 2
+            spans[n] = span(half) | span(n - half) >> 8 * half
+        return spans[n]
+
+    maps = []
+    for heading in sweeps:
+        chunks = []
+        for first in range(0, len(heading), 8):
+            hits = 0
+            for k, swept in enumerate(heading[first:first + 8]):
+                for a, b in _row_runs(swept, stride):
+                    hits |= span(b - a) >> 8 * (origin + a) << k
+            whole = hits.to_bytes(size, "little")
+            chunks.append(b"".join(whole[y * stride:y * stride + width] for y in range(height)))
+        maps.append(tuple(chunks))
+    return tuple(maps)
+
+
 class LatticeDomain(SearchDomain):
     """Motion-primitive navigation domain with a four-heuristic ensemble.
 
@@ -516,12 +527,11 @@ class LatticeDomain(SearchDomain):
     radius and its circumscribed radius; +inf field cells fall back to the
     euclidean value (fallbacks are counted in `fallback_lookups`).
 
-    Collision checks read a padded snapshot of the map taken at
-    construction: later `grid.set_obstacle` calls are not seen. A primitive
-    whose anchor cell's clearance exceeds its threshold (`OCTILE_OVER_EUCLID`
-    times its reach from the anchor, in metres) sweeps no obstacle and stays
-    on the map, so `successors` takes it without scanning its row runs; the
-    successors are the same either way.
+    Collision checks read the map's collision maps, computed once per map
+    content and set of swept cells at construction: later `grid.set_obstacle`
+    calls are not seen. `successors` looks up, per chunk of up to 8 of the
+    heading's primitives, the cell's byte in a table of the free
+    primitives' successors, in primitive order.
 
     `clearance` is the per-map cached clearance field, shared by every
     domain built on a map with the same content: treat it as read-only.
@@ -553,45 +563,29 @@ class LatticeDomain(SearchDomain):
             footprint_cell_mask(self.footprint, grid.resolution, num_headings, t)
             for t in range(num_headings)
         ]
-        swept_sets = []
+        w, h = grid.width, grid.height
+        sweeps: list[list] = [[] for _ in range(num_headings)]
+        moves: list[list] = [[] for _ in range(num_headings)]
         for p in self.primitives:
             if not (0 <= p.theta_start < num_headings and 0 <= p.theta_end < num_headings):
                 raise ValueError("primitive heading outside the configured fan")
-            swept_sets.append({(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]})
-        w, h = grid.width, grid.height
-        pad = max(map(abs, chain.from_iterable(chain.from_iterable(swept_sets + masks))))
-        stride = w + 2 * pad
-        buf = bytearray(b"\x01") * (stride * (h + 2 * pad))
-        for y in range(h):
-            row = (y + pad) * stride + pad
-            buf[row:row + w] = grid.cells[y * w:(y + 1) * w]
-        self._buf = bytes(buf)
-        self._stride = stride
-        self._origin = pad * stride + pad  # buffer index of cell (0, 0)
-        self._mask_runs = [_row_runs(m, stride) for m in masks]
-        # Per start heading: (primitive, edge cost, end dx, end dy, child sid
-        # minus the sid of the parent's cell at heading 0, swept row runs,
-        # the gate's anchor offset and clearance threshold).
-        self._by_heading: list[list[tuple]] = [[] for _ in range(num_headings)]
-        for p, swept in zip(self.primitives, swept_sets):
+            sweeps[p.theta_start].append(tuple(sorted(
+                {(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]})))
             ex, ey, et = p.end
-            xs, ys = [sx for sx, _ in swept], [sy for _, sy in swept]
-            ax, ay = round((min(xs) + max(xs)) / 2), round((min(ys) + max(ys)) / 2)
-            reach = max(math.hypot(sx - ax, sy - ay) for sx, sy in swept)
-            self._by_heading[p.theta_start].append((
-                p, math.ceil(p.cost_milli * grid.resolution), ex, ey,
-                (ey * w + ex) * num_headings + et, _row_runs(swept, stride),
-                ay * stride + ax, OCTILE_OVER_EUCLID * reach * grid.resolution,
-            ))
+            # the child's sid minus the sid of the parent's cell at heading 0
+            moves[p.theta_start].append(((ey * w + ex) * num_headings + et,
+                                         math.ceil(p.cost_milli * grid.resolution)))
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
         self.goal_theta: Optional[int] = goal[2] if len(goal) == 3 else None
         if not grid.in_bounds(gx, gy) or grid.is_obstacle(gx, gy):
             raise ValueError(f"goal cell {self.goal_cell} is out of bounds or an obstacle")
+        if self.goal_theta is not None and not 0 <= self.goal_theta < num_headings:
+            raise ValueError("goal heading outside the configured fan")
         sx, sy, st = start_pose
         if not (0 <= st < num_headings):
             raise ValueError("start heading outside the configured fan")
-        if self._pose_collides(sx, sy, st):
+        if footprint_collides(grid, start_pose, self.footprint, num_headings):
             raise ValueError(f"start pose {start_pose} is in collision")
         # The sweeps fill lists (indexing an array boxes a new float); the
         # domain keeps arrays, a quarter the size of lists of floats.
@@ -600,7 +594,16 @@ class LatticeDomain(SearchDomain):
         self.fields = [array("d", dijkstra_field(grid, self.goal_cell, r)) for r in radii]
         cells = bytes(grid.cells)
         self.clearance = _map_clearance(w, h, grid.resolution, cells)
-        self._clear = _padded_clearance(w, h, grid.resolution, cells, pad)
+        maps = _collision_maps(w, h, cells, tuple(map(tuple, sweeps)))
+        # Per start heading: (collision map, successor table) per chunk; a
+        # table's entry for a byte lists the chunk's moves whose bit is clear.
+        self._moves = []
+        for chunk_maps, heading_moves in zip(maps, moves):
+            chunks = [heading_moves[i:i + 8] for i in range(0, len(heading_moves), 8)]
+            self._moves.append([
+                (hits, [tuple(m for k, m in enumerate(chunk) if not byte >> k & 1)
+                        for byte in range(1 << len(chunk))])
+                for hits, chunk in zip(chunk_maps, chunks)])
         self.fallback_lookups = 0
         self._w = w
         self._start_sid = self._intern(sx, sy, st)
@@ -614,13 +617,6 @@ class LatticeDomain(SearchDomain):
         xy = sid // self.num_headings
         return (xy % self._w, xy // self._w, t)
 
-    def _pose_collides(self, x: int, y: int, t: int) -> bool:
-        # Every mask holds the pose's own cell, so a pose off the map collides.
-        if not self.grid.in_bounds(x, y):
-            return True
-        buf, base = self._buf, y * self._stride + x + self._origin
-        return any(buf.find(1, base + a, base + b) >= 0 for a, b in self._mask_runs[t])
-
     def start(self) -> int:
         return self._start_sid
 
@@ -631,28 +627,10 @@ class LatticeDomain(SearchDomain):
         return self.goal_theta is None or t == self.goal_theta
 
     def successors(self, sid: int) -> tuple[tuple[int, int], ...]:
-        h = self.num_headings
-        xy, t = divmod(sid, h)
-        w = self._w
-        y, x = divmod(xy, w)
-        height = self.grid.height
-        find = self._buf.find
-        clear = self._clear
-        base = y * self._stride + x + self._origin
-        sid0 = xy * h
-        out = []
-        for _, cost, ex, ey, delta, runs, anchor, safe in self._by_heading[t]:
-            if clear[base + anchor] > safe:
-                out.append((sid0 + delta, cost))
-                continue
-            if not (0 <= x + ex < w and 0 <= y + ey < height):
-                continue
-            for a, b in runs:
-                if find(1, base + a, base + b) >= 0:
-                    break
-            else:
-                out.append((sid0 + delta, cost))
-        return tuple(out)
+        xy, t = divmod(sid, self.num_headings)
+        sid0 = sid - t
+        return tuple([(sid0 + delta, cost) for hits, table in self._moves[t]
+                      for delta, cost in table[hits[xy]]])
 
     def euclidean_h(self, sid: int) -> float:
         x, y, _ = self.pose_of(sid)
@@ -672,8 +650,8 @@ class LatticeDomain(SearchDomain):
         """A loaded primitive realizing the edge a->b, if any (for replay checks)."""
         xa, ya, ta = self.pose_of(sid_a)
         xb, yb, tb = self.pose_of(sid_b)
-        for prim, *_ in self._by_heading[ta]:
+        for prim in self.primitives:
             ex, ey, et = prim.end
-            if (xa + ex, ya + ey, et) == (xb, yb, tb):
+            if prim.theta_start == ta and (xa + ex, ya + ey, et) == (xb, yb, tb):
                 return prim
         return None

@@ -74,6 +74,8 @@ class PlannerConfig:
         for name, ok, expected in (
             ("w1_init", self.w1_init >= 1, ">= 1"),
             ("w2_init", self.w2_init >= 1, ">= 1"),
+            ("w1_init", self.w1_init < INF, "finite"),
+            ("w2_init", self.w2_init < INF, "finite"),
             ("dw1", self.dw1 > 0, "> 0"),
             ("dw2", self.dw2 > 0, "> 0"),
             ("mode", self.mode in MODES, f"one of {', '.join(MODES)}"),

@@ -337,6 +337,13 @@ def test_grid_config_with_a_missing_file_is_rejected_before_any_run(tmp_path, ke
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_config_with_a_bad_footprint_is_rejected_before_any_run(tmp_path):
+    cfg = grid_config(tmp_path, "3 7 0 11 7\n", footprint="rect:nanx1")
+    with pytest.raises(ValueError, match=r"^footprint = 'rect:nanx1': expected rect:LxW"):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_integer_scenario_field_names_the_line(tmp_path):
     cfg = grid_config(tmp_path, "3 7 0 11 7\n3 7 0 1l 7\n")
     with pytest.raises(ValueError, match=r"^scenarios = q.scen: line 2: non-integer field"):

@@ -10,6 +10,7 @@ from amhastar.cli import main
 from amhastar.tiles import format_instance_line, random_solvable_board
 
 MAPS = Path(amhastar.__file__).parent / "data" / "maps"
+YARD = ["solve-grid", "--map", str(MAPS / "yard30.map")]
 
 
 def test_solve_tiles_board(capsys, tmp_path):
@@ -65,8 +66,17 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["verify"], None, "No such file or directory"),
     (["verify"], dict(map=""), "map = '': [Errno 2] No such file or directory: ''"),
     (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
+    *[(YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", f], None,
+       f"footprint = '{f}': expected rect:LxW, two finite positive lengths")
+      for f in ("rect:infx1", "rect:1e400x1", "rect:nanx1", "rect:1x2x3")],
+    (YARD + ["--start", "3 15 0", "--goal", "26 15 16"], None,
+     "goal heading outside the configured fan"),
+    *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", flag, "inf"], None,
+       f"{field} = inf: expected finite") for flag, field in (("--w1", "w1_init"),
+                                                               ("--w2", "w2_init"))],
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
-        "verify-bad-start"])
+        "verify-bad-start", "footprint-inf", "footprint-1e400", "footprint-nan",
+        "footprint-three-sides", "goal-heading-16", "w1-inf", "w2-inf"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"

@@ -392,7 +392,7 @@ def test_clearance_equals_reference_sweep_exactly():
 def _count_clearance_calls(monkeypatch):
     grid_mod._map_clearance.cache_clear()
     grid_mod._blocked_mask.cache_clear()
-    grid_mod._padded_clearance.cache_clear()
+    grid_mod._collision_maps.cache_clear()
     calls = []
     real = grid_mod.clearance_field
 
@@ -404,6 +404,16 @@ def _count_clearance_calls(monkeypatch):
     return calls
 
 
+def _collision_bytes(dom):
+    """The collision map of each heading, for the four builtin primitives
+    per heading: one chunk each."""
+    maps = []
+    for chunks in dom._moves:
+        (hits, _), = chunks
+        maps.append(hits)
+    return maps
+
+
 def test_map_cache_is_keyed_on_content(monkeypatch):
     calls = _count_clearance_calls(monkeypatch)
     path = shipped("maps/open20.map")
@@ -411,17 +421,18 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 1
     assert dom2.clearance is dom1.clearance
-    assert dom2._clear is dom1._clear
+    assert all(m2 is m1 for m2, m1 in zip(_collision_bytes(dom2), _collision_bytes(dom1)))
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
     changed.set_obstacle(10, 17)
     dom3 = LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 2
-    assert dom3._clear is not dom1._clear
-    assert dom3._clear[17 * dom3._stride + 10 + dom3._origin] == 0.0
+    cell = 17 * changed.width + 10
+    assert all(m[cell] == 0b1111 for m in _collision_bytes(dom3))
+    assert any(m[cell] != 0b1111 for m in _collision_bytes(dom1))
     assert grid_mod._map_clearance.cache_info().maxsize is not None
     assert grid_mod._blocked_mask.cache_info().maxsize is not None
-    assert grid_mod._padded_clearance.cache_info().maxsize is not None
+    assert grid_mod._collision_maps.cache_info().maxsize is not None
 
 
 def test_fields_see_obstacles_set_after_a_build(monkeypatch):
@@ -435,8 +446,9 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     assert len(calls) == 2
     assert all(f[cell] == INF for f in after.fields)
     assert after.clearance[cell] == 0.0
-    padded = 8 * after._stride + 9 + after._origin
-    assert after._clear[padded] == 0.0 < before._clear[padded]
+    # Every primitive sweeps its start cell, so all four bits are set there.
+    for m_after, m_before in zip(_collision_bytes(after), _collision_bytes(before)):
+        assert m_after[cell] == 0b1111 != m_before[cell]
     clearance = clearance_field(g)
     for r, field in zip(after.block_radii, after.fields):
         assert list(field) == reference_dijkstra_field(g, (15, 12), r, clearance)
@@ -589,8 +601,8 @@ def test_goal_heading_constraint():
 def _shuttle_primitives(num_headings, reach):
     """Per heading: out `reach` cells along the heading's unit step and back to
     the start cell, turning left at the end. The end cell is the start cell,
-    so from a pose on the map's edge it passes the end-cell bounds test and
-    its sweep reads the padding out to its full width."""
+    so from a pose on the map's edge it ends on the map while its sweep reads
+    the padding out to its full width."""
     prims = []
     for t in range(num_headings):
         vx, vy = heading_vector(num_headings, t)
@@ -677,16 +689,20 @@ def _fan_primitives(num_headings):
 @pytest.mark.parametrize("footprint", (RobotFootprint.rectangle(1.2, 0.8),
                                        RobotFootprint.rectangle(0.1, 0.1)),
                          ids=("rect", "dot"))
-@pytest.mark.parametrize("kind", ("long", "unit"))
+@pytest.mark.parametrize("kind", ("long", "unit", "many"))
 def test_successors_and_heuristics_match_reference(num_headings, resolution, footprint, kind):
     # The dot covers only its own cell, so with the unit primitives nothing
     # sweeps more than a cell or two off the map: there a one-cell-too-narrow
-    # padding lets a sweep read past the buffer or into the next row's cells.
+    # padding lets a sweep read past the map or into the next row's cells.
+    # The many set has 10 primitives per heading, two chunks of collision map.
     rng = random.Random(f"{num_headings}-{resolution}-{footprint}-{kind}")
     width, height = 23, 19
     grid = _random_border_grid(rng, width, height, resolution)
     if kind == "long":
         prims = _fan_primitives(num_headings) + _shuttle_primitives(num_headings, 6)
+    elif kind == "many":
+        prims = _fan_primitives(num_headings) + [
+            p for reach in range(1, 8) for p in _shuttle_primitives(num_headings, reach)]
     else:
         prims = _unit_primitives(num_headings)
     start = (width // 2, height // 2, 0)
@@ -741,10 +757,11 @@ def _sparse_grid(seed):
 
 
 @pytest.mark.parametrize("source", ("sparse-1", "sparse-2", "open20"))
-def test_clearance_gate_agrees_with_reference(source):
-    # On sparse maps many primitives clear the gate, so there a threshold
-    # or anchor that is off passes primitives that sweep an obstacle or
-    # leave the map. The border-dense maps above seldom reach the gate.
+def test_collision_maps_agree_with_reference(source):
+    # Every pose of the map, edges and corners included: each primitive's bit
+    # in its chunk's collision map is set exactly where the reference finds a
+    # swept pose in collision or the end cell off the map, and the
+    # successors are the reference's.
     if source == "open20":
         grid = OccupancyGrid.load(shipped("maps/open20.map"))
     else:
@@ -760,18 +777,23 @@ def test_clearance_gate_agrees_with_reference(source):
     # The map does not change, so each swept pose is checked once.
     collides = functools.lru_cache(maxsize=None)(
         lambda pose: footprint_collides(grid, pose, footprint, 16))
-    checks = gated = 0
+    maps = _collision_bytes(dom)
+    hits = free = 0
     for y in range(grid.height):
         for x in range(grid.width):
-            base = y * dom._stride + x + dom._origin
+            xy = y * grid.width + x
             for t in range(16):
-                sid = (y * grid.width + x) * 16 + t
-                assert dom.successors(sid) == _reference_successors(
+                heading = [p for p in prims if p.theta_start == t]
+                for k, p in enumerate(heading):
+                    ex, ey, _ = p.end
+                    blocked = not grid.in_bounds(x + ex, y + ey) or any(
+                        collides((x + px, y + py, pt)) for px, py, pt in p.poses)
+                    assert (maps[t][xy] >> k & 1) == blocked, (x, y, t, k)
+                    hits += blocked
+                    free += not blocked
+                assert dom.successors(xy * 16 + t) == _reference_successors(
                     grid, footprint, 16, prims, (x, y, t), collides), (x, y, t)
-                for *_, anchor, safe in dom._by_heading[t]:
-                    checks += 1
-                    gated += dom._clear[base + anchor] > safe
-    assert gated > checks // 10, (gated, checks)
+    assert hits and free, (hits, free)
 
 
 def test_scenario_file_parsing(tmp_path):
