@@ -559,6 +559,12 @@ class LatticeDomain(SearchDomain):
         if not self.primitives:
             raise ValueError("no motion primitives loaded")
         self.footprint = footprint or RobotFootprint.rectangle(1.2, 0.8)
+        reach = self.footprint.circumscribed_radius
+        diagonal = math.hypot(grid.width, grid.height) * grid.resolution
+        # The mask cell under the farthest vertex is then off the map at every pose.
+        if reach > diagonal:
+            raise ValueError(f"footprint reaches {reach:g} m from the pose, beyond the "
+                             f"map diagonal of {diagonal:.1f} m: every pose collides")
         masks = [
             footprint_cell_mask(self.footprint, grid.resolution, num_headings, t)
             for t in range(num_headings)

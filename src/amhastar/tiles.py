@@ -12,7 +12,7 @@ one tile by one cell, so misplaced tiles and Manhattan distance change only by
 that tile's old and new cell, and linear conflict only on the one row or
 column the tile leaves or enters (Korf 1985; Hansson, Mayer & Yung 1992). The
 from-scratch functions below (`misplaced_tiles`, `manhattan_distance`,
-`linear_conflict`) score the start state and are the reference the
+`linear_conflict`) score the start and the goal, and are the reference the
 incremental values are tested against.
 """
 from __future__ import annotations
@@ -114,6 +114,21 @@ def _move_effects(width: int, height: int) -> tuple:
             steps.append((j, tuple(effects)))
         table.append(tuple(steps))
     return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_tables(n: int) -> tuple[bytes, ...]:
+    """For each tile v < n, the `bytes.translate` table that swaps the values 0 and v.
+
+    A board is a permutation, so sliding tile v into the blank is exactly
+    that swap.
+    """
+    tables = []
+    for v in range(n):
+        table = bytearray(range(256))
+        table[0], table[v] = v, 0
+        tables.append(bytes(table))
+    return tuple(tables)
 
 
 def manhattan_distance(board: TileBoard) -> int:
@@ -241,11 +256,12 @@ class TilePuzzleDomain(SearchDomain):
     sums of (misplaced, manhattan, conflict); the weights are drawn once at
     construction from the given seed and recorded on the instance.
 
-    Each state's heuristics are cached as one tuple: the N+1 heuristic values
-    followed by its (misplaced, manhattan, conflict) triple. successors()
-    derives a new child's tuple from its parent's; a state that no
-    successors() call produced (the start, or any state asked about first)
-    is scored from scratch with the three reference functions.
+    Every state is scored once, when it is first interned: the start and the
+    goal from scratch with the three reference functions, every other state
+    by successors() from its parent's counts. Its heuristics are one tuple,
+    the N+1 heuristic values followed by its (misplaced, manhattan, conflict)
+    triple, held in a list indexed by state id. The tuple depends only on the
+    triple, so states with equal triples share one tuple object.
     """
 
     def __init__(
@@ -272,9 +288,16 @@ class TilePuzzleDomain(SearchDomain):
         self._width = board.width
         self._height = board.height
         self._steps = _move_effects(board.width, board.height)
+        self._swap = _swap_tables(board.width * board.height)
+        self._entries: dict[tuple[int, int, int], tuple] = {}
+        goal = goal_board(board.width, board.height)
         self._start = self._interner.intern(bytes(board.tiles))
-        self._goal = self._interner.intern(bytes(goal_board(board.width, board.height).tiles))
-        self._h: dict[int, tuple] = {}
+        self._goal = self._interner.intern(bytes(goal.tiles))
+        # The start is sid 0 and the goal sid 1, unless the start is the goal.
+        self._h = [
+            self._entry(misplaced_tiles(b), manhattan_distance(b), linear_conflict(b))
+            for b in (board, goal)[:self._goal + 1]
+        ]
 
     def board_of(self, sid: int) -> TileBoard:
         return TileBoard(self._width, self._height, tuple(self._interner.key_of(sid)))
@@ -287,41 +310,34 @@ class TilePuzzleDomain(SearchDomain):
 
     def successors(self, sid: int) -> tuple[tuple[int, int], ...]:
         tiles = self._interner.key_of(sid)
-        mt, md, lc = (self._h.get(sid) or self._score(sid))[-3:]
+        h = self._h
+        mt, md, lc = h[sid][-3:]
         intern = self._interner.intern
-        known = self._h
-        z = tiles.index(0)
+        swap = self._swap
         out = []
-        for j, effects in self._steps[z]:
+        for j, effects in self._steps[tiles.index(0)]:
             v = tiles[j]
-            lst = bytearray(tiles)
-            lst[z], lst[j] = v, 0
-            child = bytes(lst)
+            child = tiles.translate(swap[v])
             csid = intern(child)
-            if csid not in known:
+            if csid == len(h):
                 dmt, dmd, line = effects[v]
                 clc = lc
                 if line is not None:
                     cut, keep, drop = line
                     clc += 2 * (_line_removals(child[cut].translate(keep, drop))
                                 - _line_removals(tiles[cut].translate(keep, drop)))
-                known[csid] = self._entry(mt + dmt, md + dmd, clc)
+                h.append(self._entry(mt + dmt, md + dmd, clc))
             out.append((csid, 1))
         return tuple(out)
 
     def heuristic(self, sid: int, i: int) -> float:
-        entry = self._h.get(sid)
-        if entry is None:
-            entry = self._score(sid)
-        return entry[i]
+        return self._h[sid][i]
 
     def _entry(self, mt: int, md: int, lc: int) -> tuple:
-        return (md + lc, *[a * mt + b * md + c * lc for a, b, c in self.weights], mt, md, lc)
-
-    def _score(self, sid: int) -> tuple:
-        """Score a state from scratch and cache it."""
-        board = self.board_of(sid)
-        entry = self._entry(misplaced_tiles(board), manhattan_distance(board),
-                            linear_conflict(board))
-        self._h[sid] = entry
+        """The shared heuristic tuple of one (misplaced, manhattan, conflict) triple."""
+        entry = self._entries.get((mt, md, lc))
+        if entry is None:
+            entry = (md + lc, *[a * mt + b * md + c * lc for a, b, c in self.weights],
+                     mt, md, lc)
+            self._entries[mt, md, lc] = entry
         return entry

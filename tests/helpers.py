@@ -1,16 +1,75 @@
-"""Shared test code: small grids as explicit graphs, the reference field
-sweeps, closed forms and breadth-first distances, tile moves on boards, and
-a primitive-file writer."""
+"""Shared test code: an explicit graph domain, small grids as explicit
+graphs, the reference field sweeps, closed forms and breadth-first
+distances, tile moves on boards, and a primitive-file writer."""
 from __future__ import annotations
 
 import heapq
 import math
 import warnings
 from collections import deque
+from typing import Hashable, Mapping, Sequence
 
-from amhastar.explicit import ExplicitGraphDomain
+from amhastar.domain import SearchDomain, StateInterner
 from amhastar.grid import DIRS8, INF
 from amhastar.tiles import TileBoard, _blank_moves
+
+
+class ExplicitGraphDomain(SearchDomain):
+    """A finite graph given as adjacency and per-state heuristic tables.
+
+    `edges` maps node -> [(neighbor, cost), ...]; `heuristics` is one table
+    per heuristic index (missing nodes default to 0). Goals may be a single
+    node or a collection.
+    """
+
+    def __init__(
+        self,
+        edges: Mapping[Hashable, Sequence[tuple[Hashable, int]]],
+        start: Hashable,
+        goals,
+        heuristics: Sequence[Mapping[Hashable, float]] = ({},),
+    ) -> None:
+        if not heuristics:
+            raise ValueError("need at least the anchor heuristic table")
+        self.num_inadmissible = len(heuristics) - 1
+        self._interner = StateInterner()
+        nodes = set(edges)
+        for succs in edges.values():
+            nodes.update(s for s, _ in succs)
+        self._succ: dict[int, tuple[tuple[int, int], ...]] = {}
+        goal_set = {goals} if isinstance(goals, (str, int, tuple)) else set(goals)
+        nodes.add(start)
+        nodes.update(goal_set)
+        ordered = sorted(nodes, key=repr)
+        ids = {node: self._interner.intern(node) for node in ordered}
+        self._start = ids[start]
+        self._goals = {ids[g] for g in goal_set}
+        self._h = [
+            {ids[node]: float(table.get(node, 0.0)) for node in ordered}
+            for table in heuristics
+        ]
+        for node in ordered:
+            self._succ[ids[node]] = tuple(
+                (ids[s], int(c)) for s, c in edges.get(node, ())
+            )
+
+    def node_of(self, sid: int) -> Hashable:
+        return self._interner.key_of(sid)
+
+    def id_of(self, node: Hashable) -> int:
+        return self._interner.intern(node)
+
+    def start(self) -> int:
+        return self._start
+
+    def is_goal(self, sid: int) -> bool:
+        return sid in self._goals
+
+    def successors(self, sid: int):
+        return self._succ.get(sid, ())
+
+    def heuristic(self, sid: int, i: int) -> float:
+        return self._h[i].get(sid, 0.0)
 
 
 def grid_graph(width, height, walls=()):

@@ -71,12 +71,14 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
       for f in ("rect:infx1", "rect:1e400x1", "rect:nanx1", "rect:1x2x3")],
     (YARD + ["--start", "3 15 0", "--goal", "26 15 16"], None,
      "goal heading outside the configured fan"),
+    (YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", "rect:50x1"], None,
+     "footprint reaches 25.005 m from the pose, beyond the map diagonal of 21.2 m"),
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", flag, "inf"], None,
        f"{field} = inf: expected finite") for flag, field in (("--w1", "w1_init"),
                                                                ("--w2", "w2_init"))],
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start", "footprint-inf", "footprint-1e400", "footprint-nan",
-        "footprint-three-sides", "goal-heading-16", "w1-inf", "w2-inf"])
+        "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"

@@ -3,9 +3,8 @@ import pytest
 
 from amhastar import Planner, PlannerConfig, StateInterner
 from amhastar.domain import SearchDomain
-from amhastar.explicit import ExplicitGraphDomain
 
-from helpers import grid_domain
+from helpers import ExplicitGraphDomain, grid_domain
 
 
 def test_config_validation():

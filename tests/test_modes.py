@@ -4,11 +4,10 @@ import math
 from dataclasses import replace
 
 from amhastar import Planner, PlannerConfig
-from amhastar.explicit import ExplicitGraphDomain
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
 from amhastar.verify import verify_run
 
-from helpers import grid_domain, grid_graph, tile_successors
+from helpers import ExplicitGraphDomain, grid_domain, grid_graph, tile_successors
 
 INF = math.inf
 

@@ -2,12 +2,11 @@
 injected-fault cases."""
 import math
 
-from amhastar.explicit import ExplicitGraphDomain
 from amhastar.oracle import uniform_cost_optimal
 from amhastar.planner import SolutionRecord
 from amhastar.verify import verify_run
 
-from helpers import breadth_first_distances, grid_domain, octile_distance
+from helpers import ExplicitGraphDomain, breadth_first_distances, grid_domain, octile_distance
 
 
 def record(cost, bound, t=0.0, expansions=0):

@@ -10,10 +10,9 @@ from collections import deque
 import pytest
 
 from amhastar import Outcome, Planner, PlannerConfig
-from amhastar.explicit import ExplicitGraphDomain
 from amhastar.tiles import TilePuzzleDomain, random_solvable_board
 
-from helpers import grid_domain, grid_graph
+from helpers import ExplicitGraphDomain, grid_domain, grid_graph
 
 INF = math.inf
 

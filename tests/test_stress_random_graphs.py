@@ -13,8 +13,9 @@ import random
 import pytest
 
 from amhastar import Planner, PlannerConfig
-from amhastar.explicit import ExplicitGraphDomain
 from amhastar.verify import verify_run
+
+from helpers import ExplicitGraphDomain
 
 INF = math.inf
 

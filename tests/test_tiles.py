@@ -1,6 +1,7 @@
 """Tile domain mechanics against brute-force recounts and exhaustive BFS."""
 import itertools
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -9,6 +10,7 @@ from amhastar import Planner, PlannerConfig
 from amhastar.tiles import (
     TileBoard,
     TilePuzzleDomain,
+    _blank_moves,
     draw_weights,
     format_instance_line,
     goal_board,
@@ -188,6 +190,70 @@ def test_incremental_heuristics_match_scratch_along_random_walks(width, height):
                 for i, h in enumerate(scratch_heuristics(dom, b)):
                     assert dom.heuristic(child, i) == h
             sid = rng.choice(children)[0]
+
+
+def bytearray_swap_children(tiles, width, height):
+    """Each move's child: copy the board, store the tile and the blank, freeze."""
+    z = tiles.index(0)
+    out = []
+    for j in _blank_moves(width, height)[z]:
+        lst = bytearray(tiles)
+        lst[z], lst[j] = tiles[j], 0
+        out.append(bytes(lst))
+    return out
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5)])
+def test_successor_boards_match_bytearray_swap(width, height):
+    for seed in range(3):
+        dom = TilePuzzleDomain(random_solvable_board(width, height, seed=seed))
+        rng = random.Random(seed)
+        sid = dom.start()
+        for _ in range(100):
+            tiles = dom._interner.key_of(sid)
+            children = dom.successors(sid)
+            assert [dom._interner.key_of(c) for c, _ in children] == \
+                bytearray_swap_children(tiles, width, height)
+            sid = rng.choice(children)[0]
+
+
+def test_start_that_is_the_goal_is_scored_once():
+    dom = TilePuzzleDomain(goal_board(3, 3), num_inadmissible=1)
+    assert dom.start() == dom._goal == 0 and len(dom._h) == 1
+    for child, _ in dom.successors(dom.start()):
+        assert dom._h[child][-3:] == scratch_triple(dom.board_of(child))
+
+
+def test_states_with_equal_triples_share_one_tuple():
+    dom = TilePuzzleDomain(random_solvable_board(4, 4, seed=3001), num_inadmissible=3)
+    Planner(dom, PlannerConfig(mode="amha", w1_init=5.0, w2_init=2.0, clock="virtual",
+                               tick=1.0, time_budget=2000)).run()
+    by_triple = {}
+    for sid in range(len(dom._interner)):
+        by_triple.setdefault(dom._h[sid][-3:], []).append(sid)
+    assert len(by_triple) < len(dom._h) // 10
+    for a, *rest in by_triple.values():
+        for b in rest:
+            assert dom._h[a] is dom._h[b]
+
+
+def test_bytes_per_state_bounded():
+    # Board 3001 generates 38,813 states in this run (19,986 expansions). With
+    # one heuristic tuple per state, domain and planner held 530 bytes per
+    # state; with shared tuples, 341.
+    board = random_solvable_board(4, 4, seed=3001)
+    tracemalloc.start()
+    try:
+        dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=3001)
+        planner = Planner(dom, PlannerConfig(mode="amha", w1_init=5.0, w2_init=2.0, dw1=0.25,
+                                             dw2=0.1, clock="virtual", tick=1.0,
+                                             time_budget=20000))
+        planner.run()
+        held, _ = tracemalloc.get_traced_memory()  # the planner's tables included
+    finally:
+        tracemalloc.stop()
+    assert len(dom._interner) > 30000
+    assert held / len(dom._interner) <= 450
 
 
 # -- solvability and generation ---------------------------------------------------
