@@ -24,15 +24,17 @@ resolution and cells, not the grid object): the clearance field; per
 blocking radius, the blocked-cell mask, padded by one blocked cell on
 every side; and, per set of swept cells, the collision maps. Each goal's
 Dijkstra fields are swept on that padded mask, so a neighbour needs no
-bounds test.
+bounds test. The grid has two step lengths, straight and diagonal, so the
+sweep keeps one FIFO per step length instead of a binary heap
+(`_padded_sweep`); the fields are the heap sweep's, float for float.
 """
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import warnings
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,6 +42,8 @@ from typing import Optional, Sequence
 from .domain import SearchDomain, _line_error
 
 INF = math.inf
+# A mask byte's starting field value in `_padded_sweep`: -1.0 if blocked.
+_SENTINEL = (INF,) + (-1.0,) * 255
 
 # 16-heading direction fan: ascending angles, integer displacements.
 DIRS16 = (
@@ -63,6 +67,10 @@ def heading_vector(num_headings: int, theta: int) -> tuple[int, int]:
 def heading_angle(num_headings: int, theta: int) -> float:
     dx, dy = heading_vector(num_headings, theta)
     return math.atan2(dy, dx)
+
+
+# A map row's bytes, '.' and '#', as cell bytes 0 and 1.
+_MAP_CELLS = bytes.maketrans(b".#", b"\x00\x01")
 
 
 class OccupancyGrid:
@@ -105,11 +113,10 @@ class OccupancyGrid:
         for y, (n, row) in enumerate(lines[1:]):
             if len(row) != w:
                 raise _line_error(n, f"map row {y} has width {len(row)}, expected {w}")
-            for x, ch in enumerate(row):
-                if ch == "#":
-                    cells[y * w + x] = 1
-                elif ch != ".":
-                    raise _line_error(n, f"unexpected map character {ch!r}")
+            if row.count(".") + row.count("#") != w:
+                ch = next(ch for ch in row if ch not in ".#")
+                raise _line_error(n, f"unexpected map character {ch!r}")
+            cells[y * w:(y + 1) * w] = row.encode().translate(_MAP_CELLS)
         return cls(w, h, res, cells)
 
     @classmethod
@@ -400,39 +407,93 @@ def dijkstra_field(
 def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, height: int,
                   straight: float) -> list[float]:
     """8-connected multi-source Dijkstra on a flat mask with stride
-    `width + 2`, padded by one blocked cell on every side, so a neighbour
-    off the map reads as blocked without a bounds test.
+    `width + 2`, padded by one blocked cell on every side.
 
-    `sources` are `(distance, padded index)` pairs, and the list becomes
-    the sweep's heap; steps cost `straight` and `straight * sqrt(2)`, and no
-    blocked cell is entered. Returns the unpadded `width * height` field,
-    +inf where unreached, unpadded in place so that no second full field is
-    held. A cell's value is the least `d + step` over its swept neighbours,
-    whatever order heap ties pop in.
+    `sources` are `(distance, padded index)` pairs on distinct unblocked
+    cells, at distances >= 0; steps cost `straight` and `straight *
+    sqrt(2)`, and no blocked cell is entered. Returns the unpadded
+    `width * height` field, +inf where blocked or unreached.
+
+    With two step lengths a heap is not needed (Orlin, Madduri, Subramani &
+    Williamson, J. Discrete Algorithms 2010): one FIFO per step length, and
+    each pop takes the lesser head. While pops come out in nondecreasing
+    order, a FIFO receives `fl(d + step)` of nondecreasing `d`, monotone in
+    `d`, so it stays sorted. The sorted sources seed the straight FIFO,
+    which keeps it sorted from the start when they lie within one straight
+    step of the least source, as for every caller here. Farther sources
+    unsort it for a while, but the stale skip (`d > field[idx]`) makes the
+    sweep label-correcting: a cell whose value drops is queued again, so
+    each cell ends at the least of its source distance and `fl(d + step)`
+    over its neighbours, the same fixpoint whatever the pop order. The
+    order only decides how often a cell is propagated.
+
+    Blocked cells start at -1.0, below every distance, so a neighbour costs
+    one compare and needs no bounds test. The field is unpadded in place,
+    the sentinels mapped back to +inf row by row, so that no second full
+    field is held.
     """
     stride = width + 2
     diagonal = straight * math.sqrt(2)
-    steps = tuple((dy * stride + dx, diagonal if dx and dy else straight) for dx, dy in DIRS8)
-    field = [INF] * len(blocked)
+    field = list(map(_SENTINEL.__getitem__, blocked))
     for d, idx in sources:
         field[idx] = d
-    heap = sources
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, idx = pop(heap)
+    straights = deque(sorted(sources))
+    diagonals: deque = deque()
+    pop_s, pop_d = straights.popleft, diagonals.popleft
+    push_s, push_d = straights.append, diagonals.append
+    ne, nw = stride + 1, stride - 1
+    while True:
+        if straights:
+            if diagonals and diagonals[0][0] < straights[0][0]:
+                d, idx = pop_d()
+            else:
+                d, idx = pop_s()
+        elif diagonals:
+            d, idx = pop_d()
+        else:
+            break
         if d > field[idx]:
             continue
-        for off, step in steps:
-            n = idx + off
-            if not blocked[n]:
-                nd = d + step
-                if nd < field[n]:
-                    field[n] = nd
-                    push(heap, (nd, n))
+        nd = d + straight
+        n = idx + 1
+        if nd < field[n]:
+            field[n] = nd
+            push_s((nd, n))
+        n = idx - 1
+        if nd < field[n]:
+            field[n] = nd
+            push_s((nd, n))
+        n = idx + stride
+        if nd < field[n]:
+            field[n] = nd
+            push_s((nd, n))
+        n = idx - stride
+        if nd < field[n]:
+            field[n] = nd
+            push_s((nd, n))
+        nd = d + diagonal
+        n = idx + ne
+        if nd < field[n]:
+            field[n] = nd
+            push_d((nd, n))
+        n = idx + nw
+        if nd < field[n]:
+            field[n] = nd
+            push_d((nd, n))
+        n = idx - nw
+        if nd < field[n]:
+            field[n] = nd
+            push_d((nd, n))
+        n = idx - ne
+        if nd < field[n]:
+            field[n] = nd
+            push_d((nd, n))
     for y in range(height):
         row = (y + 1) * stride + 1
-        field[y * width:(y + 1) * width] = field[row:row + width]
+        cells = field[row:row + width]
+        if -1.0 in cells:
+            cells = [INF if v < 0.0 else v for v in cells]
+        field[y * width:(y + 1) * width] = cells
     del field[width * height:]
     return field
 
@@ -583,6 +644,7 @@ class LatticeDomain(SearchDomain):
                                          math.ceil(p.cost_milli * grid.resolution)))
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
+        self._goal_xy = gy * w + gx
         self.goal_theta: Optional[int] = goal[2] if len(goal) == 3 else None
         if not grid.in_bounds(gx, gy) or grid.is_obstacle(gx, gy):
             raise ValueError(f"goal cell {self.goal_cell} is out of bounds or an obstacle")
@@ -627,10 +689,8 @@ class LatticeDomain(SearchDomain):
         return self._start_sid
 
     def is_goal(self, sid: int) -> bool:
-        x, y, t = self.pose_of(sid)
-        if (x, y) != self.goal_cell:
-            return False
-        return self.goal_theta is None or t == self.goal_theta
+        xy, t = divmod(sid, self.num_headings)
+        return xy == self._goal_xy and (self.goal_theta is None or t == self.goal_theta)
 
     def successors(self, sid: int) -> tuple[tuple[int, int], ...]:
         xy, t = divmod(sid, self.num_headings)
@@ -639,7 +699,7 @@ class LatticeDomain(SearchDomain):
                       for delta, cost in table[hits[xy]]])
 
     def euclidean_h(self, sid: int) -> float:
-        x, y, _ = self.pose_of(sid)
+        y, x = divmod(sid // self.num_headings, self._w)
         gx, gy = self.goal_cell
         return math.hypot(x - gx, y - gy) * self.grid.resolution * 1000.0
 

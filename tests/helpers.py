@@ -174,6 +174,33 @@ def reference_dijkstra_field(grid, goal, block_radius, clearance):
     return field
 
 
+def reference_padded_sweep(blocked, sources, width, height, straight):
+    """The binary-heap Dijkstra sweep over a padded mask (stride
+    `width + 2`, one blocked cell around the map), kept as the reference
+    that `grid._padded_sweep` must match float for float. `sources` are
+    `(distance, padded index)` pairs; the list is not modified."""
+    stride = width + 2
+    diagonal = straight * math.sqrt(2)
+    steps = [(dy * stride + dx, diagonal if dx and dy else straight) for dx, dy in DIRS8]
+    field = [INF] * len(blocked)
+    for d, idx in sources:
+        field[idx] = d
+    heap = list(sources)
+    heapq.heapify(heap)
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if d > field[idx]:
+            continue
+        for off, step in steps:
+            n = idx + off
+            if not blocked[n]:
+                nd = d + step
+                if nd < field[n]:
+                    field[n] = nd
+                    heapq.heappush(heap, (nd, n))
+    return [field[(y + 1) * stride + 1 + x] for y in range(height) for x in range(width)]
+
+
 def octile_distance(dx, dy, straight, diagonal):
     """Closed-form shortest path length on an empty 8-connected grid."""
     dx, dy = abs(dx), abs(dy)

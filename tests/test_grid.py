@@ -27,7 +27,7 @@ from amhastar.grid import (
 )
 from amhastar.oracle import uniform_cost_optimal
 from helpers import (octile_distance, reference_clearance_field, reference_dijkstra_field,
-                     save_primitives)
+                     reference_padded_sweep, save_primitives)
 
 INF = math.inf
 SMALL = RobotFootprint.rectangle(0.6, 0.4)
@@ -387,6 +387,53 @@ def test_clearance_equals_reference_sweep_exactly():
         for g in grids:
             assert clearance_field(g) == reference_clearance_field(g), (
                 g.width, g.height, res)
+
+
+def _sweep_masks(rng):
+    """Padded masks (stride `width + 2`, a blocked ring around the map) of
+    random clutter, 1-cell corridors, splitting walls and closed pockets."""
+    def padded(width, height, is_blocked):
+        stride = width + 2
+        mask = bytearray(b"\x01") * (stride * (height + 2))
+        for y in range(height):
+            for x in range(width):
+                mask[(y + 1) * stride + x + 1] = is_blocked(x, y)
+        return bytes(mask)
+
+    for width, height in ((1, 1), (1, 9), (9, 1), (2, 7), (7, 3), (12, 12), (17, 9)):
+        for density in (0.0, 0.2, 0.45):
+            cells = [rng.random() < density for _ in range(width * height)]
+            yield "clutter", width, height, padded(width, height,
+                                                   lambda x, y: cells[y * width + x])
+    # a serpentine corridor one cell wide, turning at alternate ends
+    yield "corridor", 11, 9, padded(11, 9, lambda x, y: y % 2 == 1 and x != (
+        10 if y % 4 == 1 else 0))
+    # a full-height wall: the far side is unreachable from a near source
+    yield "split", 10, 6, padded(10, 6, lambda x, y: x == 4)
+    # a closed ring of walls around a 3x3 pocket
+    yield "pocket", 12, 10, padded(12, 10, lambda x, y: max(abs(x - 5), abs(y - 4)) == 2)
+
+
+def test_padded_sweep_equals_heap_reference_exactly():
+    rng = random.Random(29)
+    far_sources = unreached_free = 0
+    for name, width, height, mask in _sweep_masks(rng):
+        free = [i for i, b in enumerate(mask) if not b]
+        stride = width + 2
+        inner = [(y + 1) * stride + 1 + x for y in range(height) for x in range(width)]
+        for straight in (1.0, 250.0, 1000.0 * 0.3, 0.7):
+            far = 3 * straight * math.sqrt(2)
+            for _ in range(6):
+                cells = rng.sample(free, min(len(free), rng.randint(1, 5)))
+                sources = [(rng.choice((0.0, straight, straight * math.sqrt(2),
+                                        rng.uniform(0.0, far))), idx) for idx in cells]
+                field = grid_mod._padded_sweep(mask, list(sources), width, height, straight)
+                expected = reference_padded_sweep(mask, sources, width, height, straight)
+                assert field == expected, (name, width, height, straight, sources)
+                far_sources += max((d for d, _ in sources), default=0.0) > straight * math.sqrt(2)
+                unreached_free += sum(v == INF and not mask[idx]
+                                      for v, idx in zip(expected, inner))
+    assert far_sources > 100 and unreached_free > 100
 
 
 def _count_clearance_calls(monkeypatch):
