@@ -228,56 +228,18 @@ def run_from_manifest(
     return records, planner, domain
 
 
-@dataclass
-class MetricsRow:
-    instance: str
-    algo: str
-    success: bool
-    t_initial: Optional[float] = None
-    t_final: Optional[float] = None
-    eps_initial: Optional[float] = None
-    eps_final: Optional[float] = None
-    cost_initial: Optional[int] = None
-    cost_final: Optional[int] = None
-    expansions: int = 0
-    curve: tuple[tuple[float, int, float], ...] = ()
-
-    @classmethod
-    def from_records(cls, instance: str, algo: str, records, expansions: int) -> "MetricsRow":
-        if not records:
-            return cls(instance, algo, False, expansions=expansions)
-        first, last = records[0], records[-1]
-        return cls(
-            instance,
-            algo,
-            True,
-            t_initial=first.elapsed,
-            t_final=last.elapsed,
-            eps_initial=first.bound,
-            eps_final=last.bound,
-            cost_initial=first.cost,
-            cost_final=last.cost,
-            expansions=expansions,
-            curve=tuple((r.elapsed, r.cost, r.bound) for r in records),
-        )
-
-    def to_csv(self) -> str:
-        if not self.success:
-            return f"{self.instance},{self.algo},0,,,,,,,{self.expansions}"
-        return ",".join(
-            (
-                self.instance,
-                self.algo,
-                "1",
-                _fmt_t(self.t_initial),
-                _fmt_t(self.t_final),
-                _fmt_eps(self.eps_initial),
-                _fmt_eps(self.eps_final),
-                str(self.cost_initial),
-                str(self.cost_final),
-                str(self.expansions),
-            )
-        )
+def summary_row(instance: str, algo: str, records: list[SolutionRecord], expansions: int) -> str:
+    """A run's summary.csv row: its first and last published solutions; a run
+    that published none has success 0 and only its expansion count."""
+    if not records:
+        return f"{instance},{algo},0,,,,,,,{expansions}"
+    first, last = records[0], records[-1]
+    return ",".join((
+        instance, algo, "1",
+        _fmt_t(first.elapsed), _fmt_t(last.elapsed),
+        _fmt_eps(first.bound), _fmt_eps(last.bound),
+        str(first.cost), str(last.cost), str(expansions),
+    ))
 
 
 def _fmt_t(x: float) -> str:
@@ -288,34 +250,28 @@ def _fmt_eps(x: float) -> str:
     return f"{x:.6g}"
 
 
-def aggregate_row(algo: str, rows: list[MetricsRow]) -> str:
-    """Mean metrics over successful rows; success rate in % over all rows."""
-    done = [r for r in rows if r.success]
-    rate = 100.0 * len(done) / len(rows) if rows else 0.0
+def aggregate_row(algo: str, runs: list[tuple[list[SolutionRecord], int]]) -> str:
+    """Mean metrics over the runs that published; success rate in % over all
+    runs. Each run is its (records, expansions)."""
+    done = [run for run in runs if run[0]]
+    rate = 100.0 * len(done) / len(runs) if runs else 0.0
     if not done:
         return f"{AGGREGATE_INSTANCE},{algo},{rate:.2f},,,,,,,"
-    n = len(done)
-    mean = lambda vals: sum(vals) / n
-    return ",".join(
-        (
-            AGGREGATE_INSTANCE,
-            algo,
-            f"{rate:.2f}",
-            _fmt_t(mean([r.t_initial for r in done])),
-            _fmt_t(mean([r.t_final for r in done])),
-            _fmt_eps(mean([r.eps_initial for r in done])),
-            _fmt_eps(mean([r.eps_final for r in done])),
-            f"{mean([r.cost_initial for r in done]):.2f}",
-            f"{mean([r.cost_final for r in done]):.2f}",
-            f"{mean([r.expansions for r in done]):.1f}",
-        )
-    )
+    firsts = [records[0] for records, _ in done]
+    lasts = [records[-1] for records, _ in done]
+    mean = lambda vals: sum(vals) / len(done)
+    return ",".join((
+        AGGREGATE_INSTANCE, algo, f"{rate:.2f}",
+        _fmt_t(mean([r.elapsed for r in firsts])), _fmt_t(mean([r.elapsed for r in lasts])),
+        _fmt_eps(mean([r.bound for r in firsts])), _fmt_eps(mean([r.bound for r in lasts])),
+        f"{mean([r.cost for r in firsts]):.2f}", f"{mean([r.cost for r in lasts]):.2f}",
+        f"{mean([expansions for _, expansions in done]):.1f}",
+    ))
 
 
-def curve_csv(row: MetricsRow) -> str:
+def curve_csv(records: list[SolutionRecord]) -> str:
     lines = [CURVE_COLUMNS]
-    for t, cost, bound in row.curve:
-        lines.append(f"{_fmt_t(t)},{cost},{_fmt_eps(bound)}")
+    lines.extend(f"{_fmt_t(r.elapsed)},{r.cost},{_fmt_eps(r.bound)}" for r in records)
     return "\n".join(lines) + "\n"
 
 
@@ -400,35 +356,29 @@ def run_matrix(config_path, out_dir=None) -> Path:
     (out / "curves").mkdir(exist_ok=True)
     (out / "manifests").mkdir(exist_ok=True)
     tile_tables: dict[tuple[int, int], dict[bytes, int]] = {}
-    rows: list[MetricsRow] = []
+    lines = [SUMMARY_COLUMNS]
+    runs: dict[str, list[tuple[list[SolutionRecord], int]]] = {}  # per algo, in first appearance
     verdict_lines: list[str] = []
-    algo_order: list[str] = []
     for run_id, manifest in manifests:
-        algo = manifest.algo
-        if algo not in algo_order:
-            algo_order.append(algo)
-        instance_id = run_id.split("--", 1)[1]
         try:
-            records, planner, domain = run_from_manifest(manifest, record_expansions=use_oracle)
+            records, planner, _ = run_from_manifest(manifest, record_expansions=use_oracle)
         except Exception as exc:  # noqa: BLE001 - isolate per-run crashes
-            rows.append(MetricsRow(instance_id, algo, False))
+            records, planner = [], None
             verdict_lines.append(f"{run_id} ERROR {exc}")
-            (out / "manifests" / f"{run_id}.txt").write_text(manifest.to_text())
-            continue
         # written after the run so recorded draws (tile weights) are included
         (out / "manifests" / f"{run_id}.txt").write_text(manifest.to_text())
-        row = MetricsRow.from_records(instance_id, algo, records, planner.expansions_total)
-        rows.append(row)
-        (out / "curves" / f"{run_id}.csv").write_text(curve_csv(row))
+        expansions = planner.expansions_total if planner is not None else 0
+        lines.append(summary_row(run_id.split("--", 1)[1], manifest.algo, records, expansions))
+        runs.setdefault(manifest.algo, []).append((records, expansions))
+        if planner is None:
+            continue
+        (out / "curves" / f"{run_id}.csv").write_text(curve_csv(records))
         if use_oracle:
             optimal = _oracle_optimal(manifest, int(cap), tile_tables)
             verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
             verdict_lines.append(f"{run_id} {'PASS' if verdict.passed else 'FAIL'}")
             verdict_lines.extend("  " + f for f in verdict.failures)
-    lines = [SUMMARY_COLUMNS]
-    lines.extend(r.to_csv() for r in rows)
-    for algo in algo_order:
-        lines.append(aggregate_row(algo, [r for r in rows if r.algo == algo]))
+    lines.extend(aggregate_row(algo, algo_runs) for algo, algo_runs in runs.items())
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     if verdict_lines:
         (out / "verdicts.txt").write_text("\n".join(verdict_lines) + "\n")

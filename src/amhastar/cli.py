@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .bench import MetricsRow, RunManifest, curve_csv
-from .planner import MODES
+from .bench import RunManifest, curve_csv
+from .planner import MODES, Outcome
 from .tiles import format_instance_line, random_solvable_board
 
 MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
@@ -42,10 +42,10 @@ def _report(args, manifest: RunManifest, describe_path) -> int:
             f"t={rec.elapsed:.6f}s cost={rec.cost} bound={rec.bound:g} "
             f"expansions={rec.expansions_total}"
         )
-    if planner.timed_out:
+    if planner.outcome is Outcome.TIMED_OUT:
         print("time limit reached")
     if not records:
-        print("no solution" if planner.no_solution else "no solution published")
+        print("no solution" if planner.outcome is Outcome.EXHAUSTED else "no solution published")
         return 2
     if args.print_path:
         for line in describe_path(domain, records[-1].path):
@@ -54,8 +54,7 @@ def _report(args, manifest: RunManifest, describe_path) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.txt").write_text(manifest.to_text())
-        row = MetricsRow.from_records("i000", manifest.algo, records, planner.expansions_total)
-        (out / "curve.csv").write_text(curve_csv(row))
+        (out / "curve.csv").write_text(curve_csv(records))
     return 0
 
 

@@ -68,8 +68,6 @@ class AddressableHeap:
     def insert_or_update(self, sid: int, key: float, g: float) -> None:
         entry = (key, -g, sid)
         live = self._live
-        if live.get(sid) == entry:
-            return
         live[sid] = entry
         heappush(self._heap, entry)
         if len(self._heap) > _COMPACT_FACTOR * len(live) + _COMPACT_SLACK:

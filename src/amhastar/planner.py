@@ -50,8 +50,9 @@ class PlannerConfig:
     w1 inflates heuristics inside queue keys, w2 gates inadmissible
     expansions relative to the anchor; both anneal by dw1/dw2 per iteration
     down to 1, computed on the decimal values as written. time_budget is in
-    clock seconds ('wall' monotonic seconds, or deterministic virtual
-    seconds advancing by `tick` per expansion and per publish).
+    clock seconds, >= 0 and +inf for none ('wall' monotonic seconds, or
+    deterministic virtual seconds advancing by a finite `tick` per expansion
+    and per publish).
     A field out of range raises ValueError naming it. check_invariants
     asserts the queue invariants and raises ValueError when the domain
     breaks its contract (edge costs not positive integers, a heuristic < 0,
@@ -81,6 +82,8 @@ class PlannerConfig:
             ("mode", self.mode in MODES, f"one of {', '.join(MODES)}"),
             ("clock", self.clock in ("wall", "virtual"), "wall or virtual"),
             ("tick", self.tick > 0, "> 0"),
+            ("tick", self.tick < INF, "finite"),
+            ("time_budget", self.time_budget >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)!r}: expected {expected}")
@@ -120,6 +123,11 @@ class Planner:
     reconcile_queues / extract_path) mirror the phases of run() so each phase
     can be exercised on its own. g and parent are kept for reached states
     only, so their size follows the search, not the range of state ids.
+
+    A run's result is its records and `outcome`, the Outcome of its last
+    iteration: GOAL_BOUND_PROVEN after its final publish, TIMED_OUT when the
+    budget cut it (the records so far stand), EXHAUSTED when no goal is
+    reachable. It is None until run()'s first iteration ends.
     """
 
     def __init__(
@@ -144,8 +152,7 @@ class Planner:
         self.expansion_log: list[list[tuple[int, int]]] = []
         self.expansions_total = 0
         self.expansions_iteration = 0
-        self.no_solution = False
-        self.timed_out = False
+        self.outcome: Optional[Outcome] = None
 
     # -- read-only views ---------------------------------------------------
 
@@ -301,7 +308,6 @@ class Planner:
         """Full anytime loop; returns the published records in order."""
         self.initialize()
         cfg = self._cfg
-        one_shot = cfg.mode in ONE_SHOT_MODES
         w1_init, w2_init = self._w1, self._w2
         k = 0
         while True:
@@ -309,17 +315,11 @@ class Planner:
             self._closed_inad.clear()
             self._incons.clear()
             self.expansions_iteration = 0
-            outcome = self.improve_path()
-            if outcome is Outcome.TIMED_OUT:
-                self.timed_out = True
-                break
-            if outcome is Outcome.EXHAUSTED:
-                self.no_solution = True
+            self.outcome = self.improve_path()
+            if self.outcome is not Outcome.GOAL_BOUND_PROVEN:
                 break
             self._publish()
-            if self._w1 == 1 and self._w2 == 1:
-                break
-            if one_shot:
+            if (self._w1 == 1 and self._w2 == 1) or cfg.mode in ONE_SHOT_MODES:
                 break
             k += 1
             self._w1 = _scheduled_weight(w1_init, cfg.dw1, k)

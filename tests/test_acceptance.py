@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from amhastar import Planner, PlannerConfig
-from amhastar.bench import RunManifest, curve_csv, MetricsRow, run_from_manifest, run_matrix
+from amhastar.bench import RunManifest, curve_csv, run_from_manifest, run_matrix
 from amhastar.grid import LatticeDomain, OccupancyGrid, RobotFootprint
 from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
 from amhastar.planner import SolutionRecord
@@ -316,9 +316,8 @@ def test_replay_determinism(tmp_path):
     curves = []
     for _ in range(2):
         manifest = RunManifest.from_text(manifest_text)
-        records, planner, _ = run_from_manifest(manifest)
-        row = MetricsRow.from_records("i000", "amha", records, planner.expansions_total)
-        curves.append(curve_csv(row).encode())
+        records, _, _ = run_from_manifest(manifest)
+        curves.append(curve_csv(records).encode())
     assert curves[0] == curves[1]
 
     boards = [format_instance_line(random_solvable_board(3, 3, seed=s)) for s in (42, 43)]

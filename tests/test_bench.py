@@ -8,7 +8,6 @@ from amhastar.bench import (
     AGGREGATE_INSTANCE,
     CURVE_COLUMNS,
     SUMMARY_COLUMNS,
-    MetricsRow,
     RunManifest,
     parse_kv,
     run_from_manifest,
@@ -186,6 +185,32 @@ def test_matrix_isolates_bad_instances(tmp_path):
     assert "ERROR" in (out / "verdicts.txt").read_text()
 
 
+def test_budget_cut_run_keeps_its_expansions_out_of_the_mean(tmp_path):
+    # A 10-tick budget: board i000 expands but publishes nothing, board i001
+    # (one move from the goal) publishes. summary.csv is a frozen format, so
+    # the rows are pinned byte for byte.
+    far = format_instance_line(random_solvable_board(3, 3, seed=1))
+    cfg = write_config(tmp_path, [far, "3 3 1 0 2 3 4 5 6 7 8"], time_limit="0.001",
+                       oracle="off")
+    out = run_matrix(cfg, tmp_path / "out")
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [
+        "i000,amha,0,,,,,,,11",
+        "i001,amha,1,0.000200,0.000400,6,1,1,1,1",
+        f"{AGGREGATE_INSTANCE},amha,50.00,0.000200,0.000400,6,1,1.00,1.00,1.0",
+    ]
+    assert (out / "curves" / "amha--i000.csv").read_text() == CURVE_COLUMNS + "\n"
+
+
+def test_algo_whose_every_run_fails_has_an_empty_mean(tmp_path):
+    far = format_instance_line(random_solvable_board(3, 3, seed=1))
+    cfg = write_config(tmp_path, [far], time_limit="0.001", oracle="off")
+    out = run_matrix(cfg, tmp_path / "out")
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [
+        "i000,amha,0,,,,,,,11",
+        f"{AGGREGATE_INSTANCE},amha,0.00,,,,,,,",
+    ]
+
+
 def test_replay_is_byte_identical_under_virtual_clock(tmp_path):
     boards = [format_instance_line(random_solvable_board(3, 3, seed=s)) for s in (7, 8)]
     cfg = write_config(tmp_path, boards, algos="amha,ara,mha,wastar", w1="4", w2="2",
@@ -200,12 +225,11 @@ def test_replay_is_byte_identical_under_virtual_clock(tmp_path):
 
 def test_curve_rows_strictly_increasing_time(tmp_path):
     m = tile_manifest(seed=9, w1=5.0, w2=5.0, dw1=2.0, dw2=2.0)
-    records, planner, _ = run_from_manifest(m)
-    row = MetricsRow.from_records("i000", "amha", records, planner.expansions_total)
-    times = [t for t, _, _ in row.curve]
+    records, _, _ = run_from_manifest(m)
+    times = [r.elapsed for r in records]
     assert all(a < b for a, b in zip(times, times[1:]))
-    costs = [c for _, c, _ in row.curve]
-    bounds = [b for _, _, b in row.curve]
+    costs = [r.cost for r in records]
+    bounds = [r.bound for r in records]
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
@@ -274,6 +298,9 @@ def test_from_values_coerces_by_field_type():
     (dict(algos="amha, amah"), r"^algos = 'amha, amah': unknown modes \['amah'\]"),
     (dict(clock="wal"), r"^clock = 'wal': expected wall or virtual$"),
     (dict(w1="0.5"), r"^w1_init = 0.5: expected >= 1$"),
+    (dict(time_limit="nan"), r"^time_budget = nan: expected >= 0$"),
+    (dict(time_limit="-1"), r"^time_budget = -1.0: expected >= 0$"),
+    (dict(tick="inf"), r"^tick = inf: expected finite$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))

@@ -76,9 +76,14 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", flag, "inf"], None,
        f"{field} = inf: expected finite") for flag, field in (("--w1", "w1_init"),
                                                                ("--w2", "w2_init"))],
+    *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", *flags], None, message)
+      for flags, message in ((["--time-limit", "nan"], "time_budget = nan: expected >= 0"),
+                             (["--time-limit", "-1"], "time_budget = -1.0: expected >= 0"),
+                             (["--tick", "inf"], "tick = inf: expected finite"))],
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start", "footprint-inf", "footprint-1e400", "footprint-nan",
-        "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf"])
+        "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
+        "time-limit-nan", "time-limit-negative", "tick-inf"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"

@@ -3,7 +3,7 @@ import heapq
 import math
 from dataclasses import replace
 
-from amhastar import Planner, PlannerConfig
+from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
 from amhastar.verify import verify_run
 
@@ -100,7 +100,7 @@ def test_no_solution_returns_empty_records():
     dom = ExplicitGraphDomain({"a": [("b", 1)], "b": []}, "a", "z", heuristics=[{}])
     planner = Planner(dom, PlannerConfig(w1_init=4.0, w2_init=4.0))
     assert planner.run() == []
-    assert planner.no_solution
+    assert planner.outcome is Outcome.EXHAUSTED
 
 
 def test_time_budget_keeps_published_records():
@@ -112,7 +112,7 @@ def test_time_budget_keeps_published_records():
                       clock="virtual", tick=1e-3, time_budget=0.05),
     )
     records = planner.run()
-    assert planner.timed_out
+    assert planner.outcome is Outcome.TIMED_OUT
     assert records, "the first solution should appear before the budget"
     # The final expansion and the publish instant each advance one tick past
     # the last budget check, so allow that much slack.

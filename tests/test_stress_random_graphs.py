@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from amhastar import Planner, PlannerConfig
+from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.verify import verify_run
 
 from helpers import ExplicitGraphDomain
@@ -89,7 +89,7 @@ def test_guarantees_on_random_graphs(trial):
     records = planner.run()
     if optimal == INF:
         assert records == []
-        assert planner.no_solution
+        assert planner.outcome is Outcome.EXHAUSTED
         return
     assert records, f"solvable graph produced no solution (optimal {optimal})"
     verdict = verify_run(records, optimal, planner.expansion_log)
