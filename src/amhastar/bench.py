@@ -44,6 +44,9 @@ PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
 # Keys that older manifests carry, each with the one value it could take:
 # the heap's fixed tie order and the planner's one exit test.
 RETIRED_KEYS = {"tie_break": "high-g-low-id", "termination": "per_expansion"}
+# The PlannerConfig field that each manifest key sets.
+CONFIG_FIELDS = {"w1": "w1_init", "w2": "w2_init", "dw1": "dw1", "dw2": "dw2",
+                 "time_limit": "time_budget", "algo": "mode", "clock": "clock", "tick": "tick"}
 
 
 @dataclass
@@ -155,17 +158,15 @@ class RunManifest:
         raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
 
     def build_config(self, record_expansions: bool = False) -> PlannerConfig:
-        return PlannerConfig(
-            w1_init=self.w1,
-            w2_init=self.w2,
-            dw1=self.dw1,
-            dw2=self.dw2,
-            time_budget=self.time_limit,
-            mode=self.algo,
-            clock=self.clock,
-            tick=self.tick,
-            record_expansions=record_expansions,
-        )
+        """The run's PlannerConfig; a field out of range raises ValueError
+        naming the manifest key that sets it."""
+        try:
+            return PlannerConfig(record_expansions=record_expansions,
+                                 **{f: getattr(self, key) for key, f in CONFIG_FIELDS.items()})
+        except ValueError as err:
+            field, rest = str(err).split(" = ", 1)
+            key = next(key for key, f in CONFIG_FIELDS.items() if f == field)
+            raise ValueError(f"{key} = {rest}") from None
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -360,8 +361,12 @@ def run_matrix(config_path, out_dir=None) -> Path:
     runs: dict[str, list[tuple[list[SolutionRecord], int]]] = {}  # per algo, in first appearance
     verdict_lines: list[str] = []
     for run_id, manifest in manifests:
+        verdict = None
         try:
-            records, planner, _ = run_from_manifest(manifest, record_expansions=use_oracle)
+            if use_oracle:
+                verdict, records, planner, _ = verify_manifest(manifest, int(cap), tile_tables)
+            else:
+                records, planner, _ = run_from_manifest(manifest)
         except Exception as exc:  # noqa: BLE001 - isolate per-run crashes
             records, planner = [], None
             verdict_lines.append(f"{run_id} ERROR {exc}")
@@ -373,9 +378,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
         if planner is None:
             continue
         (out / "curves" / f"{run_id}.csv").write_text(curve_csv(records))
-        if use_oracle:
-            optimal = _oracle_optimal(manifest, int(cap), tile_tables)
-            verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
+        if verdict is not None:
             verdict_lines.append(f"{run_id} {'PASS' if verdict.passed else 'FAIL'}")
             verdict_lines.extend("  " + f for f in verdict.failures)
     lines.extend(aggregate_row(algo, algo_runs) for algo, algo_runs in runs.items())
@@ -385,32 +388,27 @@ def run_matrix(config_path, out_dir=None) -> Path:
     return out
 
 
-def _oracle_optimal(manifest: RunManifest, oracle_cap: int,
-                    tile_tables: dict[tuple[int, int], dict[bytes, int]]) -> Optional[float]:
-    """Optimal cost of a manifest's instance, for its verdict.
-
-    Boards of at most 9 cells are looked up in one exhaustive table per board
-    size, built on first use; every other instance runs the capped Dijkstra.
-    """
-    if manifest.domain == "tiles":
-        board = parse_instance_line(manifest.board)
-        if board.width * board.height <= 9:
-            size = (board.width, board.height)
-            if size not in tile_tables:
-                tile_tables[size] = tile_goal_distances(*size)
-            return tile_tables[size].get(bytes(board.tiles), math.inf)
-    return uniform_cost_optimal(manifest.build_domain(), state_cap=oracle_cap)
-
-
 def verify_manifest(
     manifest: RunManifest, oracle_cap: int = 2_000_000,
+    tile_tables: Optional[dict[tuple[int, int], dict[bytes, int]]] = None,
 ) -> tuple[Verdict, list[SolutionRecord], Planner, Optional[float]]:
     """Replay a manifest with logging and check it against the oracle.
 
+    The optimum of a board of at most 9 cells is looked up in one exhaustive
+    table per board size, built on first use and kept in `tile_tables` when
+    given; every other instance runs the capped Dijkstra on the run's domain.
     Returns the verdict, the replay's records and planner, and the optimum
     (None when the oracle gave up at `oracle_cap` settled states).
     """
-    records, planner, _ = run_from_manifest(manifest, record_expansions=True)
-    optimal = _oracle_optimal(manifest, oracle_cap, {})
+    records, planner, domain = run_from_manifest(manifest, record_expansions=True)
+    board = parse_instance_line(manifest.board) if manifest.domain == "tiles" else None
+    if board is not None and board.width * board.height <= 9:
+        tables = {} if tile_tables is None else tile_tables
+        size = (board.width, board.height)
+        if size not in tables:
+            tables[size] = tile_goal_distances(*size)
+        optimal = tables[size].get(bytes(board.tiles), math.inf)
+    else:
+        optimal = uniform_cost_optimal(domain, state_cap=oracle_cap)
     verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
     return verdict, records, planner, optimal

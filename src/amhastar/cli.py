@@ -77,9 +77,6 @@ def _cmd_solve_tiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_grid(args: argparse.Namespace) -> int:
-    if not (args.start and args.goal):
-        print("need both --start and --goal", file=sys.stderr)
-        return 2
     manifest = _manifest_from_args(args)
 
     def describe(domain, path):
@@ -125,8 +122,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve-grid", help="solve one lattice navigation instance")
     _add_planner_flags(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--start", default=None, help="`x y theta`")
-    p.add_argument("--goal", default=None, help="`x y [theta]`")
+    p.add_argument("--start", default="", help="`x y theta`")
+    p.add_argument("--goal", default="", help="`x y [theta]`")
     p.add_argument("--footprint", default="rect:1.2x0.8")
     p.add_argument("--primitives", default="builtin16")
     p.set_defaults(func=_cmd_solve_grid, domain="grid")

@@ -331,7 +331,7 @@ def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
 # -- heuristic fields ---------------------------------------------------------
 
 
-def clearance_field(grid: OccupancyGrid) -> list[float]:
+def clearance_field(grid: OccupancyGrid) -> array:
     """Octile distance (meters) from each cell center to the nearest obstacle
     cell center, with the out-of-bounds ring counting as obstacles.
 
@@ -357,24 +357,20 @@ def clearance_field(grid: OccupancyGrid) -> list[float]:
 @functools.lru_cache(maxsize=4)
 def _map_clearance(width: int, height: int, resolution: float, cells: bytes) -> array:
     """`clearance_field` of the map with this content, computed once per map."""
-    grid = OccupancyGrid(width, height, resolution, bytearray(cells))
-    return array("d", clearance_field(grid))
+    return clearance_field(OccupancyGrid(width, height, resolution, bytearray(cells)))
 
 
 @functools.lru_cache(maxsize=12)
 def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
                   radius: float) -> bytes:
-    """Cells that are obstacles or have clearance <= radius, as a flat mask
+    """Cells with clearance <= radius (obstacles read 0.0), as a flat mask
     with stride `width + 2`, padded by one blocked cell on every side."""
     clearance = _map_clearance(width, height, resolution, cells)
     stride = width + 2
     mask = bytearray(b"\x01") * (stride * (height + 2))
     for y in range(height):
         row = (y + 1) * stride + 1
-        mask[row:row + width] = bytes(
-            cells[idx] or clearance[idx] <= radius
-            for idx in range(y * width, (y + 1) * width)
-        )
+        mask[row:row + width] = bytes(map(radius.__ge__, clearance[y * width:(y + 1) * width]))
     return bytes(mask)
 
 
@@ -382,17 +378,20 @@ def dijkstra_field(
     grid: OccupancyGrid,
     goal: tuple[int, int],
     block_radius: float = 0.0,
-) -> list[float]:
+) -> array:
     """Backward 8-connected cost-to-goal field in milli-meters.
 
     Cells whose obstacle clearance is <= block_radius are treated as blocked
-    before the sweep; unreachable cells hold +inf. A blocked goal yields an
-    all-inf field with a warning (callers fall back to the metric heuristic).
+    before the sweep; unreachable cells hold +inf; a negative or NaN
+    block_radius is rejected. A blocked goal yields an all-inf field with a
+    warning (callers fall back to the metric heuristic).
 
     The sweep runs on the map's cached padded mask (`_blocked_mask`).
     """
+    if not block_radius >= 0:
+        raise ValueError(f"block_radius = {block_radius!r}: expected >= 0")
     w, h, res = grid.width, grid.height, grid.resolution
-    blocked = _blocked_mask(w, h, res, bytes(grid.cells), block_radius)
+    blocked = _blocked_mask(w, h, res, bytes(grid.cells), float(block_radius))
     stride = w + 2
     gx, gy = goal
     if not grid.in_bounds(gx, gy) or blocked[(gy + 1) * stride + gx + 1]:
@@ -400,19 +399,19 @@ def dijkstra_field(
             f"field goal {goal} blocked at radius {block_radius}; field is all-inf",
             stacklevel=2,
         )
-        return [INF] * (w * h)
+        return array("d", [INF]) * (w * h)
     return _padded_sweep(blocked, [(0.0, (gy + 1) * stride + gx + 1)], w, h, 1000.0 * res)
 
 
 def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, height: int,
-                  straight: float) -> list[float]:
+                  straight: float) -> array:
     """8-connected multi-source Dijkstra on a flat mask with stride
     `width + 2`, padded by one blocked cell on every side.
 
     `sources` are `(distance, padded index)` pairs on distinct unblocked
     cells, at distances >= 0; steps cost `straight` and `straight *
     sqrt(2)`, and no blocked cell is entered. Returns the unpadded
-    `width * height` field, +inf where blocked or unreached.
+    `width * height` array, +inf where blocked or unreached.
 
     With two step lengths a heap is not needed (Orlin, Madduri, Subramani &
     Williamson, J. Discrete Algorithms 2010): one FIFO per step length, and
@@ -428,9 +427,8 @@ def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, 
     order only decides how often a cell is propagated.
 
     Blocked cells start at -1.0, below every distance, so a neighbour costs
-    one compare and needs no bounds test. The field is unpadded in place,
-    the sentinels mapped back to +inf row by row, so that no second full
-    field is held.
+    one compare and needs no bounds test. The rows are copied out of the
+    padding into the returned array, the sentinels mapped back to +inf.
     """
     stride = width + 2
     diagonal = straight * math.sqrt(2)
@@ -488,14 +486,14 @@ def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, 
         if nd < field[n]:
             field[n] = nd
             push_d((nd, n))
+    out = array("d")
     for y in range(height):
         row = (y + 1) * stride + 1
         cells = field[row:row + width]
         if -1.0 in cells:
             cells = [INF if v < 0.0 else v for v in cells]
-        field[y * width:(y + 1) * width] = cells
-    del field[width * height:]
-    return field
+        out.fromlist(cells)
+    return out
 
 
 # -- the domain ----------------------------------------------------------------
@@ -593,9 +591,6 @@ class LatticeDomain(SearchDomain):
     calls are not seen. `successors` looks up, per chunk of up to 8 of the
     heading's primitives, the cell's byte in a table of the free
     primitives' successors, in primitive order.
-
-    `clearance` is the per-map cached clearance field, shared by every
-    domain built on a map with the same content: treat it as read-only.
     """
 
     num_inadmissible = 3
@@ -655,14 +650,9 @@ class LatticeDomain(SearchDomain):
             raise ValueError("start heading outside the configured fan")
         if footprint_collides(grid, start_pose, self.footprint, num_headings):
             raise ValueError(f"start pose {start_pose} is in collision")
-        # The sweeps fill lists (indexing an array boxes a new float); the
-        # domain keeps arrays, a quarter the size of lists of floats.
         radii = (0.0, self.footprint.inscribed_radius, self.footprint.circumscribed_radius)
-        self.block_radii = radii
-        self.fields = [array("d", dijkstra_field(grid, self.goal_cell, r)) for r in radii]
-        cells = bytes(grid.cells)
-        self.clearance = _map_clearance(w, h, grid.resolution, cells)
-        maps = _collision_maps(w, h, cells, tuple(map(tuple, sweeps)))
+        self.fields = [dijkstra_field(grid, self.goal_cell, r) for r in radii]
+        maps = _collision_maps(w, h, bytes(grid.cells), tuple(map(tuple, sweeps)))
         # Per start heading: (collision map, successor table) per chunk; a
         # table's entry for a byte lists the chunk's moves whose bit is clear.
         self._moves = []

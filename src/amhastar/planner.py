@@ -98,7 +98,6 @@ class SolutionRecord:
     bound: float
     elapsed: float
     expansions_total: int
-    expansions_iteration: int
 
 
 def _scheduled_weight(w_init: float, dw: float, k: int) -> float:
@@ -151,7 +150,6 @@ class Planner:
         self._records: list[SolutionRecord] = []
         self.expansion_log: list[list[tuple[int, int]]] = []
         self.expansions_total = 0
-        self.expansions_iteration = 0
         self.outcome: Optional[Outcome] = None
 
     # -- read-only views ---------------------------------------------------
@@ -194,7 +192,6 @@ class Planner:
         self._w1 = 1.0 if cfg.mode == "astar" else float(cfg.w1_init)
         self._w2 = 1.0 if cfg.mode in SINGLE_QUEUE_MODES else float(cfg.w2_init)
         start = self._domain.start()
-        self._start = start
         self._g[start] = 0
         self._parent[start] = -1
         self._goal_sid = -1
@@ -223,7 +220,6 @@ class Planner:
         for q in self._open:
             q.discard(sid)
         self.expansions_total += 1
-        self.expansions_iteration += 1
         if self._cfg.record_expansions:
             self.expansion_log[-1].append((sid, qi))
         g = self._g
@@ -244,7 +240,9 @@ class Planner:
 
         The exit test runs before every expansion. An empty anchor has an
         infinite min key, so it ends the loop too: with a goal reached that
-        is a proven bound, without one the search is exhausted.
+        is a proven bound, without one the search is exhausted, unless the
+        anchor holds states (w2 times a key overflowed to +inf at a huge
+        finite weight): then the anchor also takes an empty queue's turn.
 
         Expects the closed sets and INCONS cleared by the caller and the
         queues carrying either the start state or reconciled content.
@@ -261,7 +259,12 @@ class Planner:
         while True:
             for i in turns:
                 if self._goal_g <= w2 * open0.min_key():
-                    return Outcome.GOAL_BOUND_PROVEN if self._goal_g < INF else Outcome.EXHAUSTED
+                    if self._goal_g < INF:
+                        return Outcome.GOAL_BOUND_PROVEN
+                    if not open0:
+                        return Outcome.EXHAUSTED
+                    if not self._open[i]:
+                        i = 0
                 if now() > budget:
                     return Outcome.TIMED_OUT
                 if i >= 1 and self._open[i].min_key() <= w2 * open0.min_key():
@@ -314,7 +317,6 @@ class Planner:
             self._closed_anch.clear()
             self._closed_inad.clear()
             self._incons.clear()
-            self.expansions_iteration = 0
             self.outcome = self.improve_path()
             if self.outcome is not Outcome.GOAL_BOUND_PROVEN:
                 break
@@ -392,7 +394,6 @@ class Planner:
             bound=self._w1 * self._w2,
             elapsed=self._clock(publishing=1)(),
             expansions_total=self.expansions_total,
-            expansions_iteration=self.expansions_iteration,
         )
         self._records.append(rec)
         if self._observer is not None:

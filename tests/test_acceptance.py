@@ -292,7 +292,7 @@ def test_first_solution_time_direction():
 def test_fault_injection_flags_violations():
     def record(cost, bound):
         return SolutionRecord(path=(), cost=cost, bound=bound, elapsed=0.0,
-                              expansions_total=0, expansions_iteration=0)
+                              expansions_total=0)
 
     bound_breaker = verify_run([record(6 * 8 + 1, 6.0)], oracle_cost=8)
     assert not bound_breaker.passed

@@ -262,6 +262,28 @@ def test_verify_manifest_passes_for_honest_run():
     assert verdict.passed, verdict.failures
 
 
+def test_verify_manifest_keeps_tile_tables_in_the_given_dict():
+    tables = {}
+    verdict, records, _, optimal = verify_manifest(tile_manifest(seed=11), tile_tables=tables)
+    assert list(tables) == [(3, 3)] and optimal == records[-1].cost
+    table = tables[(3, 3)]
+    verify_manifest(tile_manifest(seed=12), tile_tables=tables)
+    assert tables == {(3, 3): table} and tables[(3, 3)] is table
+
+
+def test_verify_manifest_runs_the_oracle_on_the_runs_own_domain(monkeypatch):
+    yard = Path(amhastar.__file__).parent / "data" / "maps" / "yard30.map"
+    manifest = RunManifest(algo="amha", domain="grid", map=str(yard), start="3 15 0",
+                           goal="26 15", footprint="rect:0.6x0.4", w1=3.0, w2=2.0,
+                           clock="virtual")
+    built = []
+    real = RunManifest.build_domain
+    monkeypatch.setattr(RunManifest, "build_domain", lambda m: built.append(m) or real(m))
+    verdict, records, _, optimal = verify_manifest(manifest)
+    assert len(built) == 1
+    assert verdict.passed and records and optimal <= records[-1].cost
+
+
 def test_grid_manifest_with_primitive_file(tmp_path):
     from amhastar.grid import BUILTIN_PRIMITIVES, OccupancyGrid, load_primitives
     from helpers import save_primitives
@@ -297,10 +319,11 @@ def test_from_values_coerces_by_field_type():
     (dict(instances="missing.txt"), r"instances = missing.txt: .*No such file"),
     (dict(algos="amha, amah"), r"^algos = 'amha, amah': unknown modes \['amah'\]"),
     (dict(clock="wal"), r"^clock = 'wal': expected wall or virtual$"),
-    (dict(w1="0.5"), r"^w1_init = 0.5: expected >= 1$"),
-    (dict(time_limit="nan"), r"^time_budget = nan: expected >= 0$"),
-    (dict(time_limit="-1"), r"^time_budget = -1.0: expected >= 0$"),
+    (dict(w1="0.5"), r"^w1 = 0.5: expected >= 1$"),
+    (dict(time_limit="nan"), r"^time_limit = nan: expected >= 0$"),
+    (dict(time_limit="-1"), r"^time_limit = -1.0: expected >= 0$"),
     (dict(tick="inf"), r"^tick = inf: expected finite$"),
+    (dict(w2="0.5"), r"^w2 = 0.5: expected >= 1$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))

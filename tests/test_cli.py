@@ -50,6 +50,7 @@ def test_solve_grid_with_flags(capsys):
 def test_solve_grid_requires_start_or_scenario(capsys):
     code = main(["solve-grid", "--map", str(MAPS / "yard30.map")])
     assert code == 2
+    assert capsys.readouterr().err == "start = '': expected 3 integers\n"
 
 
 def test_solve_grid_bad_start_names_the_flag(capsys):
@@ -66,6 +67,8 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["verify"], None, "No such file or directory"),
     (["verify"], dict(map=""), "map = '': [Errno 2] No such file or directory: ''"),
     (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
+    (["verify"], dict(algo="amah"),
+     "algo = 'amah': expected one of amha, mha, ara, wastar, astar"),
     *[(YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", f], None,
        f"footprint = '{f}': expected rect:LxW, two finite positive lengths")
       for f in ("rect:infx1", "rect:1e400x1", "rect:nanx1", "rect:1x2x3")],
@@ -74,14 +77,13 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", "rect:50x1"], None,
      "footprint reaches 25.005 m from the pose, beyond the map diagonal of 21.2 m"),
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", flag, "inf"], None,
-       f"{field} = inf: expected finite") for flag, field in (("--w1", "w1_init"),
-                                                               ("--w2", "w2_init"))],
+       f"{key} = inf: expected finite") for flag, key in (("--w1", "w1"), ("--w2", "w2"))],
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", *flags], None, message)
-      for flags, message in ((["--time-limit", "nan"], "time_budget = nan: expected >= 0"),
-                             (["--time-limit", "-1"], "time_budget = -1.0: expected >= 0"),
+      for flags, message in ((["--time-limit", "nan"], "time_limit = nan: expected >= 0"),
+                             (["--time-limit", "-1"], "time_limit = -1.0: expected >= 0"),
                              (["--tick", "inf"], "tick = inf: expected finite"))],
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
-        "verify-bad-start", "footprint-inf", "footprint-1e400", "footprint-nan",
+        "verify-bad-start", "verify-bad-algo", "footprint-inf", "footprint-1e400", "footprint-nan",
         "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
         "time-limit-nan", "time-limit-negative", "tick-inf"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):

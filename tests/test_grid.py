@@ -277,6 +277,23 @@ def test_blocked_goal_warns_and_returns_all_inf():
     assert all(v == INF for v in field)
 
 
+@pytest.mark.parametrize("radius", [-1.0, -1, -0.01, math.nan])
+def test_field_rejects_a_negative_or_nan_block_radius(radius):
+    # Such a radius would leave obstacle cells (clearance 0.0) unblocked.
+    g = OccupancyGrid.load(shipped("maps/yard30.map"))
+    with pytest.raises(ValueError, match=rf"^block_radius = {radius!r}: expected >= 0$"):
+        dijkstra_field(g, (26, 15), radius)
+
+
+def test_field_takes_an_int_block_radius_as_its_float():
+    g = OccupancyGrid.load(shipped("maps/yard30.map"))
+    grid_mod._blocked_mask.cache_clear()  # the int radius builds its mask first
+    for r in (0, 1):
+        field = dijkstra_field(g, (26, 15), r)
+        assert field == dijkstra_field(g, (26, 15), float(r))
+        assert all(field[idx] == INF for idx, cell in enumerate(g.cells) if cell)
+
+
 def test_monotone_blocking():
     g = OccupancyGrid.load(shipped("maps/yard30.map"))
     clearance = clearance_field(g)
@@ -360,7 +377,7 @@ def test_field_equals_reference_sweep_exactly():
                 with warnings.catch_warnings(record=True) as want:
                     warnings.simplefilter("always")
                     expected = reference_dijkstra_field(g, goal, r, clearance)
-                assert field == expected, (g.width, g.height, g.resolution, goal, r)
+                assert list(field) == expected, (g.width, g.height, g.resolution, goal, r)
                 assert [str(w.message) for w in got] == [str(w.message) for w in want]
                 if want:
                     blocked += 1
@@ -385,7 +402,7 @@ def test_clearance_equals_reference_sweep_exactly():
                             g.set_obstacle(x, y)
                 grids.append(g)
         for g in grids:
-            assert clearance_field(g) == reference_clearance_field(g), (
+            assert list(clearance_field(g)) == reference_clearance_field(g), (
                 g.width, g.height, res)
 
 
@@ -429,7 +446,7 @@ def test_padded_sweep_equals_heap_reference_exactly():
                                         rng.uniform(0.0, far))), idx) for idx in cells]
                 field = grid_mod._padded_sweep(mask, list(sources), width, height, straight)
                 expected = reference_padded_sweep(mask, sources, width, height, straight)
-                assert field == expected, (name, width, height, straight, sources)
+                assert list(field) == expected, (name, width, height, straight, sources)
                 far_sources += max((d for d, _ in sources), default=0.0) > straight * math.sqrt(2)
                 unreached_free += sum(v == INF and not mask[idx]
                                       for v, idx in zip(expected, inner))
@@ -467,7 +484,7 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     dom1 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
     dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 1
-    assert dom2.clearance is dom1.clearance
+    assert grid_mod._blocked_mask.cache_info().hits == 3  # dom2 reuses dom1's masks
     assert all(m2 is m1 for m2, m1 in zip(_collision_bytes(dom2), _collision_bytes(dom1)))
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
@@ -492,12 +509,13 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     after = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
     assert len(calls) == 2
     assert all(f[cell] == INF for f in after.fields)
-    assert after.clearance[cell] == 0.0
+    clearance = clearance_field(g)
+    assert clearance[cell] == 0.0
     # Every primitive sweeps its start cell, so all four bits are set there.
     for m_after, m_before in zip(_collision_bytes(after), _collision_bytes(before)):
         assert m_after[cell] == 0b1111 != m_before[cell]
-    clearance = clearance_field(g)
-    for r, field in zip(after.block_radii, after.fields):
+    radii = (0.0, SMALL.inscribed_radius, SMALL.circumscribed_radius)
+    for r, field in zip(radii, after.fields):
         assert list(field) == reference_dijkstra_field(g, (15, 12), r, clearance)
 
 
@@ -778,8 +796,7 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fields = [dijkstra_field(grid, goal, r) for r in radii]
-    assert all(type(f) is list for f in [clearance] + fields)
-    assert all(type(f) is array for f in [dom.clearance] + dom.fields)
+    assert all(type(f) is array for f in [clearance] + fields + dom.fields)
     gx, gy = goal
     for x, y, t in poses:
         sid = (y * width + x) * num_headings + t

@@ -103,6 +103,44 @@ def test_no_solution_returns_empty_records():
     assert planner.outcome is Outcome.EXHAUSTED
 
 
+# A huge finite weight overflows a key, or w2 times the anchor's min key, to
+# +inf; with no goal reached yet, that is no proof that none is reachable.
+
+
+def test_a_huge_finite_w2_publishes_and_converges():
+    board = random_solvable_board(3, 3, seed=1)
+    dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=1)
+    planner = Planner(dom, PlannerConfig(w1_init=1.0, w2_init=1e307, dw2=1e307,
+                                         clock="virtual"))
+    records = planner.run()
+    assert planner.outcome is Outcome.GOAL_BOUND_PROVEN
+    assert [r.bound for r in records] == [1e307, 1.0]
+    assert records[-1].cost == astar_manhattan_cost(board) == 25
+
+
+def test_a_huge_finite_w1_publishes_and_converges():
+    walls = [(2, 0), (2, 1), (2, 2)]
+    dom = grid_domain(5, 5, (0, 0), (4, 2), walls=walls)
+    planner = Planner(dom, PlannerConfig(w1_init=1e308, dw1=1e308))
+    records = planner.run()
+    assert planner.outcome is Outcome.GOAL_BOUND_PROVEN
+    assert [r.bound for r in records] == [1e308, 1.0]
+    assert records[-1].cost == dijkstra_cost(grid_graph(5, 5, walls), (0, 0), (4, 2))
+
+
+def test_an_empty_queue_yields_its_turn_to_the_anchor_at_an_overflowed_bound():
+    # Queue 1 expands s, a and b; b improves a, which re-enters the anchor
+    # only, and queue 1 is empty while w2 * key(a) is +inf.
+    edges = {"s": [("a", 10), ("b", 1)], "a": [], "b": [("a", 1)]}
+    dom = ExplicitGraphDomain(edges, "s", "z", heuristics=[
+        {"s": 5, "a": 0, "b": 100}, {"s": 5, "a": 0, "b": 100}])
+    planner = Planner(dom, PlannerConfig(w2_init=1e308, record_expansions=True))
+    assert planner.run() == []
+    assert planner.outcome is Outcome.EXHAUSTED
+    s, a, b = map(dom.id_of, "sab")
+    assert planner.expansion_log == [[(s, 1), (a, 1), (b, 1), (a, 0)]]
+
+
 def test_time_budget_keeps_published_records():
     board = random_solvable_board(3, 3, seed=5)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=5)

@@ -11,7 +11,7 @@ from helpers import ExplicitGraphDomain, breadth_first_distances, grid_domain, o
 
 def record(cost, bound, t=0.0, expansions=0):
     return SolutionRecord(path=(), cost=cost, bound=bound, elapsed=t,
-                          expansions_total=expansions, expansions_iteration=expansions)
+                          expansions_total=expansions)
 
 
 def test_oracle_goal_equals_start():
