@@ -38,12 +38,9 @@ SUMMARY_COLUMNS = (
 CURVE_COLUMNS = "t_s,cost,bound"
 AGGREGATE_INSTANCE = "__mean__"
 # Bench config keys that configure the harness, not a run.
-HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "out", "oracle", "oracle_cap"))
+HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "oracle", "oracle_cap"))
 # RunManifest fields that each run of a bench takes from the harness keys.
 PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
-# Keys that older manifests carry, each with the one value it could take:
-# the heap's fixed tie order and the planner's one exit test.
-RETIRED_KEYS = {"tie_break": "high-g-low-id", "termination": "per_expansion"}
 # The PlannerConfig field that each manifest key sets.
 CONFIG_FIELDS = {"w1": "w1_init", "w2": "w2_init", "dw1": "dw1", "dw2": "dw2",
                  "time_limit": "time_budget", "algo": "mode", "clock": "clock", "tick": "tick"}
@@ -66,8 +63,6 @@ class RunManifest:
     # tiles
     board: str = ""
     n_heur: int = 2
-    weight_lo: float = 0.0
-    weight_hi: float = 5.0
     weights: str = ""
     # grid
     map: str = ""
@@ -88,10 +83,6 @@ class RunManifest:
         version = values.pop("manifest_version", "1")
         if version != "1":
             raise ValueError(f"manifest_version = {version!r}: expected 1")
-        for key, only in RETIRED_KEYS.items():
-            value = values.pop(key, only)
-            if value != only:
-                raise ValueError(f"{key} = {value!r}: expected {only}")
         return cls.from_values(values)
 
     @classmethod
@@ -113,10 +104,7 @@ class RunManifest:
 
     def build_domain(self) -> SearchDomain:
         if self.domain == "tiles":
-            try:
-                board = parse_instance_line(self.board)
-            except ValueError as err:
-                raise ValueError(f"board = {self.board!r}: {err}") from None
+            board = _parse_field("board", self.board, parse_instance_line)
             # Recorded draws take precedence so a saved manifest replays the
             # exact run even if the drawing scheme ever changes.
             recorded = None
@@ -131,7 +119,6 @@ class RunManifest:
                 board,
                 num_inadmissible=self.n_heur,
                 weight_seed=self.seed,
-                weight_range=(self.weight_lo, self.weight_hi),
                 weights=recorded,
             )
             self.weights = ",".join(
@@ -207,15 +194,13 @@ def _parse_field(key: str, value: str, parse):
 
 
 def parse_footprint(text: str) -> RobotFootprint:
-    """`rect:LxW`, a rectangle of finite positive length and width in metres."""
+    """`rect:LxW`, the footprint `RobotFootprint(L, W)`."""
     dims = text[5:].split("x") if text.startswith("rect:") else []
     try:
         length, width = map(float, dims)
+        return RobotFootprint(length, width)
     except ValueError:
-        length = width = math.nan
-    if not (0 < length < math.inf and 0 < width < math.inf):
-        raise ValueError("expected rect:LxW, two finite positive lengths in metres")
-    return RobotFootprint.rectangle(length, width)
+        raise ValueError("expected rect:LxW, two finite positive lengths in metres") from None
 
 
 def run_from_manifest(
@@ -336,7 +321,7 @@ def _read_instances(values: dict[str, str], key: str, config_dir: Path, load) ->
         raise ValueError(f"{key} = {values[key]}: {err}") from None
 
 
-def run_matrix(config_path, out_dir=None) -> Path:
+def run_matrix(config_path, out_dir) -> Path:
     """Execute the full algorithms x instances grid described by a config file.
 
     Returns the output directory. A crash in one run degrades to a failed
@@ -352,7 +337,7 @@ def run_matrix(config_path, out_dir=None) -> Path:
     if not cap.isdigit():
         raise ValueError(f"oracle_cap = {cap!r}: expected int")
     manifests = _build_manifests(values, config_path.parent)
-    out = Path(out_dir) if out_dir is not None else Path(values.get("out", "bench-out"))
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "curves").mkdir(exist_ok=True)
     (out / "manifests").mkdir(exist_ok=True)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -16,23 +15,23 @@ MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
 
 
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", default="amha", choices=MODES)
+    """Flags given no default here keep RunManifest's when not set."""
+    p.add_argument("--algo", choices=MODES)
     p.add_argument("--w1", type=float, default=3.0)
     p.add_argument("--w2", type=float, default=2.0)
-    p.add_argument("--dw1", type=float, default=1.0)
-    p.add_argument("--dw2", type=float, default=1.0)
-    p.add_argument("--time-limit", type=float, default=math.inf)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clock", default="wall", choices=("wall", "virtual"))
-    p.add_argument("--tick", type=float, default=1e-4)
+    p.add_argument("--dw1", type=float)
+    p.add_argument("--dw2", type=float)
+    p.add_argument("--time-limit", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--clock", choices=("wall", "virtual"))
+    p.add_argument("--tick", type=float)
     p.add_argument("--out", default=None, help="directory for curve + manifest output")
-    p.add_argument("--print-path", action="store_true")
+    p.add_argument("--print-path", action="store_true", default=False)
 
 
-def _manifest_from_args(args: argparse.Namespace, **fields) -> RunManifest:
-    """The manifest fields among the parsed flags, plus `fields`."""
-    given = {k: v for k, v in vars(args).items() if k in MANIFEST_FIELDS}
-    return RunManifest(**{**given, **fields})
+def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
+    """A RunManifest of the manifest fields among the parsed flags."""
+    return RunManifest(**{k: v for k, v in vars(args).items() if k in MANIFEST_FIELDS})
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
@@ -59,15 +58,11 @@ def _report(args, manifest: RunManifest, describe_path) -> int:
 
 
 def _cmd_solve_tiles(args: argparse.Namespace) -> int:
-    if args.board:
-        board_line = args.board
-    else:
-        board = random_solvable_board(args.width, args.height, args.seed)
-        board_line = format_instance_line(board)
-        print(f"instance: {board_line}")
-    weight_lo, weight_hi = args.weight_range
-    manifest = _manifest_from_args(args, board=board_line,
-                                   weight_lo=weight_lo, weight_hi=weight_hi)
+    manifest = _manifest_from_args(args)
+    if not manifest.board:
+        board = random_solvable_board(args.width, args.height, manifest.seed)
+        manifest.board = format_instance_line(board)
+        print(f"instance: {manifest.board}")
 
     def describe(domain, path):
         for sid in path:
@@ -110,27 +105,28 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-tiles", help="solve one sliding-tile instance")
+    p = sub.add_parser("solve-tiles", help="solve one sliding-tile instance",
+                       argument_default=argparse.SUPPRESS)
     _add_planner_flags(p)
-    p.add_argument("--board", default=None, help="instance line: `w h t0 t1 ...`")
+    p.add_argument("--board", help="instance line: `w h t0 t1 ...`; default a random board")
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--height", type=int, default=3)
-    p.add_argument("--n-heur", type=int, default=2)
-    p.add_argument("--weight-range", type=float, nargs=2, default=(0.0, 5.0))
+    p.add_argument("--n-heur", type=int)
     p.set_defaults(func=_cmd_solve_tiles, domain="tiles")
 
-    p = sub.add_parser("solve-grid", help="solve one lattice navigation instance")
+    p = sub.add_parser("solve-grid", help="solve one lattice navigation instance",
+                       argument_default=argparse.SUPPRESS)
     _add_planner_flags(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--start", default="", help="`x y theta`")
-    p.add_argument("--goal", default="", help="`x y [theta]`")
-    p.add_argument("--footprint", default="rect:1.2x0.8")
-    p.add_argument("--primitives", default="builtin16")
+    p.add_argument("--start", help="`x y theta`")
+    p.add_argument("--goal", help="`x y [theta]`")
+    p.add_argument("--footprint")
+    p.add_argument("--primitives")
     p.set_defaults(func=_cmd_solve_grid, domain="grid")
 
     p = sub.add_parser("bench", help="run an algorithms x instances matrix")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="bench-out")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="replay a manifest and check its guarantees")

@@ -3,7 +3,7 @@
 Successors come from a table of motion primitives (short swept pose
 sequences respecting a minimum turning radius) read from a `.mprim` file;
 the builtin set is the shipped `data/primitives/unicycle16.mprim`, loaded
-once per process. Collision checking places a convex polygon footprint at
+once per process. Collision checking places a rectangular footprint at
 every swept pose. Edge costs are the primitive arc lengths in integer
 milli-meters. The anchor heuristic is straight-line distance; three
 inadmissible heuristics are backward 8-connected Dijkstra fields over the
@@ -174,49 +174,31 @@ class MotionPrimitive:
 
 @dataclass(frozen=True)
 class RobotFootprint:
-    """Convex polygon in the robot frame (meters), origin inside."""
+    """Rectangle centred on the robot's origin (meters): `length` along its
+    heading, `width` across it."""
 
-    vertices: tuple[tuple[float, float], ...]
+    length: float
+    width: float
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError("footprint needs at least 3 vertices")
-        if not _is_convex_ccw(self.vertices):
-            raise ValueError("footprint must be convex with counterclockwise winding")
-        if _point_polygon_distance(0.0, 0.0, self.vertices) > 0:
-            raise ValueError("footprint must contain the origin")
-
-    @classmethod
-    def rectangle(cls, length: float, width: float) -> "RobotFootprint":
-        hl, hw = length / 2, width / 2
-        return cls(((-hl, -hw), (hl, -hw), (hl, hw), (-hl, hw)))
+        if not (0 < self.length < INF and 0 < self.width < INF):
+            raise ValueError(f"footprint {self.length!r} x {self.width!r}: expected two "
+                             "finite positive lengths in metres")
 
     @property
     def inscribed_radius(self) -> float:
-        verts = self.vertices
-        n = len(verts)
-        return min(
-            _segment_distance(0.0, 0.0, verts[i], verts[(i + 1) % n]) for i in range(n)
-        )
+        return min(self.length, self.width) / 2
 
     @property
     def circumscribed_radius(self) -> float:
-        return max(math.hypot(x, y) for x, y in self.vertices)
+        return math.hypot(self.length / 2, self.width / 2)
 
     def rotated(self, angle: float) -> tuple[tuple[float, float], ...]:
+        """The four corners, counterclockwise, turned by `angle` radians."""
         c, s = math.cos(angle), math.sin(angle)
-        return tuple((c * x - s * y, s * x + c * y) for x, y in self.vertices)
-
-
-def _is_convex_ccw(verts: Sequence[tuple[float, float]]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        cx, cy = verts[(i + 2) % n]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-            return False
-    return True
+        hl, hw = self.length / 2, self.width / 2
+        corners = ((-hl, -hw), (hl, -hw), (hl, hw), (-hl, hw))
+        return tuple((c * x - s * y, s * x + c * y) for x, y in corners)
 
 
 def _segment_distance(px: float, py: float, a: tuple[float, float],
@@ -614,7 +596,7 @@ class LatticeDomain(SearchDomain):
         self.primitives = list(primitives)
         if not self.primitives:
             raise ValueError("no motion primitives loaded")
-        self.footprint = footprint or RobotFootprint.rectangle(1.2, 0.8)
+        self.footprint = footprint or RobotFootprint(1.2, 0.8)
         reach = self.footprint.circumscribed_radius
         diagonal = math.hypot(grid.width, grid.height) * grid.resolution
         # The mask cell under the farthest vertex is then off the map at every pose.

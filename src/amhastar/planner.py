@@ -49,7 +49,8 @@ class PlannerConfig:
 
     w1 inflates heuristics inside queue keys, w2 gates inadmissible
     expansions relative to the anchor; both anneal by dw1/dw2 per iteration
-    down to 1, computed on the decimal values as written. time_budget is in
+    down to 1, computed on the decimal values as written; above 1, a step
+    must be at least two ulps of its initial weight. time_budget is in
     clock seconds, >= 0 and +inf for none ('wall' monotonic seconds, or
     deterministic virtual seconds advancing by a finite `tick` per expansion
     and per publish).
@@ -72,6 +73,10 @@ class PlannerConfig:
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
+        # A step below two ulps of a weight above 1 can round back to that
+        # weight, and the schedule would repeat it without end.
+        least1, least2 = 2 * math.ulp(self.w1_init), 2 * math.ulp(self.w2_init)
+        lowers = ", so each step lowers the weight"
         for name, ok, expected in (
             ("w1_init", self.w1_init >= 1, ">= 1"),
             ("w2_init", self.w2_init >= 1, ">= 1"),
@@ -79,6 +84,8 @@ class PlannerConfig:
             ("w2_init", self.w2_init < INF, "finite"),
             ("dw1", self.dw1 > 0, "> 0"),
             ("dw2", self.dw2 > 0, "> 0"),
+            ("dw1", self.w1_init <= 1 or self.dw1 >= least1, f">= {least1:.17g}{lowers}"),
+            ("dw2", self.w2_init <= 1 or self.dw2 >= least2, f">= {least2:.17g}{lowers}"),
             ("mode", self.mode in MODES, f"one of {', '.join(MODES)}"),
             ("clock", self.clock in ("wall", "virtual"), "wall or virtual"),
             ("tick", self.tick > 0, "> 0"),

@@ -239,14 +239,12 @@ def load_instances(path) -> list[TileBoard]:
     return boards
 
 
-def draw_weights(
-    n: int, seed: int, lo: float = 0.0, hi: float = 5.0
-) -> tuple[tuple[float, float, float], ...]:
-    """One (misplaced, manhattan, conflict) weight triple per inadmissible heuristic."""
+def draw_weights(n: int, seed: int) -> tuple[tuple[float, float, float], ...]:
+    """One (misplaced, manhattan, conflict) weight triple per inadmissible
+    heuristic, each weight uniform in [0, 5)."""
     rng = random.Random(seed)
-    return tuple(
-        (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)
-    )
+    return tuple((rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0))
+                 for _ in range(n))
 
 
 class TilePuzzleDomain(SearchDomain):
@@ -269,7 +267,6 @@ class TilePuzzleDomain(SearchDomain):
         board: TileBoard,
         num_inadmissible: int = 2,
         weight_seed: int = 0,
-        weight_range: tuple[float, float] = (0.0, 5.0),
         weights: Optional[Sequence[tuple[float, float, float]]] = None,
     ) -> None:
         if num_inadmissible < 0:
@@ -282,8 +279,7 @@ class TilePuzzleDomain(SearchDomain):
                 raise ValueError("need one weight triple per inadmissible heuristic")
             self.weights = tuple(tuple(float(x) for x in t) for t in weights)
         else:
-            lo, hi = weight_range
-            self.weights = draw_weights(num_inadmissible, weight_seed, lo, hi)
+            self.weights = draw_weights(num_inadmissible, weight_seed)
         self._interner = StateInterner()
         self._width = board.width
         self._height = board.height

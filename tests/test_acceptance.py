@@ -28,7 +28,7 @@ from amhastar.tiles import (
 from amhastar.verify import verify_run
 
 WEIGHT_PAIRS = ((1, 1), (2, 1), (1, 2), (3, 2), (5, 5))
-TINY = RobotFootprint.rectangle(0.02, 0.02)
+TINY = RobotFootprint(0.02, 0.02)
 
 
 def ok(name):
@@ -233,8 +233,8 @@ def test_anchor_admissibility_and_consistency(tile_table):
     maps_dir = Path(amhastar.__file__).parent / "data" / "maps"
     scenarios = {
         "open20.map": ((2, 2, 0), (15, 12), TINY),
-        "rooms40.map": ((5, 16, 0), (35, 16), RobotFootprint.rectangle(1.2, 0.8)),
-        "yard30.map": ((3, 15, 0), (26, 15), RobotFootprint.rectangle(0.6, 0.4)),
+        "rooms40.map": ((5, 16, 0), (35, 16), RobotFootprint(1.2, 0.8)),
+        "yard30.map": ((3, 15, 0), (26, 15), RobotFootprint(0.6, 0.4)),
     }
     for name, (start, goal, footprint) in scenarios.items():
         grid = OccupancyGrid.load(maps_dir / name)

@@ -1,4 +1,5 @@
 """Harness behavior: manifests, matrix runs, CSV schemas, replay determinism."""
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -64,7 +65,8 @@ def test_manifest_text_round_trip():
 
 
 # Written by `amhastar bench --config configs/tiles3-demo.cfg` (amha--i003)
-# while manifests still recorded the heap's tie order.
+# while manifests still recorded the heap's tie order, the planner's exit
+# test and the range of the tile weight draws, each with its one value.
 LEGACY_MANIFEST = """\
 manifest_version = 1
 algo = amha
@@ -93,24 +95,20 @@ primitives = builtin16
 """
 
 
-def test_legacy_manifest_with_tie_break_loads_and_replays():
-    m = RunManifest.from_text(LEGACY_MANIFEST)
+def test_legacy_manifest_is_rejected_and_replays_without_its_retired_keys():
+    with pytest.raises(ValueError, match=r"^unknown manifest keys: \['termination', "
+                       r"'tie_break', 'weight_hi', 'weight_lo'\]$"):
+        RunManifest.from_text(LEGACY_MANIFEST)
+    fields = {f.name for f in dataclasses.fields(RunManifest)} | {"manifest_version"}
+    kept = [ln for ln in LEGACY_MANIFEST.splitlines() if ln.split(" =")[0] in fields]
+    m = RunManifest.from_text("\n".join(kept))
     records, _, _ = run_from_manifest(m)
     # The curve the bench wrote for this manifest: t_s, cost, bound.
     assert [(f"{r.elapsed:.6f}", r.cost, r.bound) for r in records] == [
         ("0.011900", 39, 25.0), ("0.012000", 39, 9.0), ("0.023200", 23, 1.0)
     ]
-    text = m.to_text()
-    assert "tie_break" not in text and "termination" not in text
     # to_text writes `map = ` with a trailing blank; the copy above has none.
-    assert [ln.rstrip() for ln in text.splitlines()] == [
-        ln for ln in LEGACY_MANIFEST.splitlines()
-        if not ln.startswith(("tie_break", "termination"))
-    ]
-    with pytest.raises(ValueError, match="^tie_break = 'low-g': expected high-g-low-id$"):
-        RunManifest.from_text(LEGACY_MANIFEST.replace("high-g-low-id", "low-g"))
-    with pytest.raises(ValueError, match="^termination = 'per_round': expected per_expansion$"):
-        RunManifest.from_text(LEGACY_MANIFEST.replace("per_expansion", "per_round"))
+    assert [ln.rstrip() for ln in m.to_text().splitlines()] == kept
 
 
 def test_manifest_rejects_unknown_keys():
@@ -324,6 +322,7 @@ def test_from_values_coerces_by_field_type():
     (dict(time_limit="-1"), r"^time_limit = -1.0: expected >= 0$"),
     (dict(tick="inf"), r"^tick = inf: expected finite$"),
     (dict(w2="0.5"), r"^w2 = 0.5: expected >= 1$"),
+    (dict(out="elsewhere"), r"^unknown manifest keys: \['out'\]$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))

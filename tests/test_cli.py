@@ -82,10 +82,12 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
       for flags, message in ((["--time-limit", "nan"], "time_limit = nan: expected >= 0"),
                              (["--time-limit", "-1"], "time_limit = -1.0: expected >= 0"),
                              (["--tick", "inf"], "tick = inf: expected finite"))],
+    (["solve-tiles", "--seed", "1", "--w1", "1e20", "--w2", "1", "--clock", "virtual",
+      "--time-limit", "1"], None, "dw1 = 1.0: expected >= 32768, so each step lowers the weight"),
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start", "verify-bad-algo", "footprint-inf", "footprint-1e400", "footprint-nan",
         "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
-        "time-limit-nan", "time-limit-negative", "tick-inf"])
+        "time-limit-nan", "time-limit-negative", "tick-inf", "w1-step-below-two-ulps"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"
@@ -98,6 +100,15 @@ def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and message in err, err
+
+
+def test_unset_solve_flags_take_the_manifest_defaults(tmp_path):
+    # Only --w1 3 and --w2 2 are the CLI's own defaults.
+    board = format_instance_line(random_solvable_board(3, 3, seed=6))
+    assert main(["solve-tiles", "--board", board, "--out", str(tmp_path)]) == 0
+    expected = RunManifest(domain="tiles", board=board, w1=3.0, w2=2.0)
+    expected.build_domain()  # records the weights drawn from the default seed
+    assert (tmp_path / "manifest.txt").read_text() == expected.to_text()
 
 
 def test_no_solution_exit_code(capsys):

@@ -18,6 +18,10 @@ def test_config_validation():
         PlannerConfig(mode="sideways")
     with pytest.raises(ValueError):
         PlannerConfig(clock="sundial")
+    with pytest.raises(ValueError, match=r"^dw2 = 1e-16: expected >= 4.4408920985006262e-16, "
+                                         r"so each step lowers the weight$"):
+        PlannerConfig(w2_init=1.5, dw2=1e-16)  # below two ulps of 1.5
+    PlannerConfig(w1_init=1.0, dw1=1e-300)  # a weight of 1 never steps
 
 
 def test_interner_is_stable_and_dense():

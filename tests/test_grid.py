@@ -30,7 +30,7 @@ from helpers import (octile_distance, reference_clearance_field, reference_dijks
                      reference_padded_sweep, save_primitives)
 
 INF = math.inf
-SMALL = RobotFootprint.rectangle(0.6, 0.4)
+SMALL = RobotFootprint(0.6, 0.4)
 
 
 def shipped(name):
@@ -179,14 +179,15 @@ def test_primitive_validation():
 
 
 def test_rectangle_radii():
-    fp = RobotFootprint.rectangle(1.2, 0.8)
+    fp = RobotFootprint(1.2, 0.8)
     assert fp.inscribed_radius == pytest.approx(0.4)
     assert fp.circumscribed_radius == pytest.approx(math.hypot(0.6, 0.4))
 
 
-def test_footprint_must_contain_origin():
-    with pytest.raises(ValueError):
-        RobotFootprint(((1.0, 1.0), (2.0, 1.0), (1.5, 2.0)))
+def test_footprint_size_must_be_finite_and_positive():
+    for length, width in ((0.0, 1.0), (1.0, -0.5), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="expected two finite positive lengths in metres$"):
+            RobotFootprint(length, width)
 
 
 def test_mask_includes_pose_cell():
@@ -196,14 +197,14 @@ def test_mask_includes_pose_cell():
 
 def test_collision_trivial_cases():
     g = OccupancyGrid.empty(9, 9)
-    tiny = RobotFootprint.rectangle(0.02, 0.02)
+    tiny = RobotFootprint(0.02, 0.02)
     assert not footprint_collides(g, (4, 4, 0), tiny)
     g.set_obstacle(4, 4)
-    assert footprint_collides(g, (4, 4, 0), RobotFootprint.rectangle(1.0, 1.0))
+    assert footprint_collides(g, (4, 4, 0), RobotFootprint(1.0, 1.0))
 
 
 def test_square_rotated_quarter_turn_has_same_mask():
-    square = RobotFootprint.rectangle(0.9, 0.9)
+    square = RobotFootprint(0.9, 0.9)
     up = 4  # DIRS16[4] == (0, 1): a quarter turn
     assert DIRS16[up] == (0, 1)
     assert set(footprint_cell_mask(square, 1.0, 16, 0)) == set(
@@ -214,7 +215,7 @@ def test_square_rotated_quarter_turn_has_same_mask():
 def test_mask_agrees_with_dense_rasterization():
     # Oracle: distance from cell center to the polygon approximated by
     # sampling the footprint area at a 10x finer resolution.
-    square = RobotFootprint.rectangle(0.9, 0.9)
+    square = RobotFootprint(0.9, 0.9)
     res = 1.0
     margin = res * math.sqrt(2) / 2
     samples = []
@@ -364,7 +365,7 @@ def _field_goals(g, rng):
 
 def test_field_equals_reference_sweep_exactly():
     rng = random.Random(11)
-    robot = RobotFootprint.rectangle(1.2, 0.8)
+    robot = RobotFootprint(1.2, 0.8)
     radii = (0.0, robot.inscribed_radius, robot.circumscribed_radius, 1.5)
     swept = blocked = 0
     for g in _field_grids():
@@ -547,7 +548,7 @@ def test_primitive_sweeping_obstacle_is_omitted():
     # of the sweep is blocked.
     g = OccupancyGrid.empty(9, 9)
     g.set_obstacle(5, 4)
-    tiny = RobotFootprint.rectangle(0.02, 0.02)
+    tiny = RobotFootprint(0.02, 0.02)
     prim = MotionPrimitive(0, 0, 2000, ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
     dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=[prim], footprint=tiny)
     assert dom.successors(dom.start()) == ()
@@ -581,7 +582,7 @@ def test_octile_field_dominates_euclidean_on_empty_map():
 def test_narrow_passage_field_exceeds_open_field_behind_door():
     g = OccupancyGrid.load(shipped("maps/rooms40.map"))
     dom = LatticeDomain(
-        g, (5, 16, 0), (35, 16), footprint=RobotFootprint.rectangle(1.2, 0.8)
+        g, (5, 16, 0), (35, 16), footprint=RobotFootprint(1.2, 0.8)
     )
     behind = dom._intern(10, 10, 0)
     assert dom.heuristic(behind, 3) > dom.heuristic(behind, 1)
@@ -751,8 +752,8 @@ def _fan_primitives(num_headings):
 
 @pytest.mark.parametrize("num_headings", (4, 8, 16))
 @pytest.mark.parametrize("resolution", (0.25, 0.5, 1.0))
-@pytest.mark.parametrize("footprint", (RobotFootprint.rectangle(1.2, 0.8),
-                                       RobotFootprint.rectangle(0.1, 0.1)),
+@pytest.mark.parametrize("footprint", (RobotFootprint(1.2, 0.8),
+                                       RobotFootprint(0.1, 0.1)),
                          ids=("rect", "dot"))
 @pytest.mark.parametrize("kind", ("long", "unit", "many"))
 def test_successors_and_heuristics_match_reference(num_headings, resolution, footprint, kind):
@@ -830,7 +831,7 @@ def test_collision_maps_agree_with_reference(source):
         grid = OccupancyGrid.load(shipped("maps/open20.map"))
     else:
         grid = _sparse_grid(source)
-    footprint = RobotFootprint.rectangle(1.2, 0.8)
+    footprint = RobotFootprint(1.2, 0.8)
     start = (grid.width // 2, grid.height // 2, 0)
     for dx, dy in footprint_cell_mask(footprint, grid.resolution, 16, 0):
         grid.set_obstacle(start[0] + dx, start[1] + dy, False)

@@ -1,9 +1,12 @@
 """Whole-run behavior: anytime schedules, baselines, and the guarantees."""
 import heapq
 import math
+import random
 from dataclasses import replace
+from decimal import Decimal
 
 from amhastar import Outcome, Planner, PlannerConfig
+from amhastar.planner import _scheduled_weight
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
 from amhastar.verify import verify_run
 
@@ -81,6 +84,28 @@ def test_decimal_weight_steps_do_not_drift():
     assert [r.bound for r in records] == [w * w for w in (1.3, 1.2, 1.1, 1.0)]
 
 
+def test_accepted_weight_schedules_strictly_decrease_to_one():
+    # Seeded weights over 20 decades, steps from the weight itself down to
+    # 2**-56 of it, around the least step accepted (two ulps, ~2**-51 of it).
+    rng = random.Random(2024)
+    accepted = 0
+    for _ in range(400):
+        w = 10 ** rng.uniform(0, 20)
+        dw = w * 2 ** -rng.uniform(0, 56)
+        try:
+            PlannerConfig(w1_init=w, w2_init=w, dw1=dw, dw2=dw)
+        except ValueError as err:
+            assert str(err).startswith("dw1 = ") and dw < 2 * math.ulp(w)
+            continue
+        accepted += 1
+        steps = math.ceil((Decimal(repr(w)) - 1) / Decimal(repr(dw)))
+        for ks in (range(min(steps, 100) + 1), range(max(steps - 100, 0), steps + 1)):
+            weights = [_scheduled_weight(w, dw, k) for k in ks]
+            assert all(a > b for a, b in zip(weights, weights[1:])), (w, dw)
+        assert _scheduled_weight(w, dw, steps) == 1.0
+    assert 300 < accepted < 400
+
+
 def test_eight_puzzle_final_record_is_optimal():
     board = random_solvable_board(3, 3, seed=11)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=11)
@@ -134,7 +159,7 @@ def test_an_empty_queue_yields_its_turn_to_the_anchor_at_an_overflowed_bound():
     edges = {"s": [("a", 10), ("b", 1)], "a": [], "b": [("a", 1)]}
     dom = ExplicitGraphDomain(edges, "s", "z", heuristics=[
         {"s": 5, "a": 0, "b": 100}, {"s": 5, "a": 0, "b": 100}])
-    planner = Planner(dom, PlannerConfig(w2_init=1e308, record_expansions=True))
+    planner = Planner(dom, PlannerConfig(w2_init=1e308, dw2=1e308, record_expansions=True))
     assert planner.run() == []
     assert planner.outcome is Outcome.EXHAUSTED
     s, a, b = map(dom.id_of, "sab")

@@ -295,10 +295,10 @@ def test_unsolvable_board_rejected_by_domain():
 
 
 def test_draw_weights_deterministic_and_in_range():
-    a = draw_weights(3, seed=9, lo=0.0, hi=5.0)
-    b = draw_weights(3, seed=9, lo=0.0, hi=5.0)
+    a = draw_weights(3, seed=9)
+    b = draw_weights(3, seed=9)
     assert a == b
-    assert all(0.0 <= x <= 5.0 for triple in a for x in triple)
+    assert all(0.0 <= x < 5.0 for triple in a for x in triple)
 
 
 def test_instance_file_round_trip(tmp_path):
