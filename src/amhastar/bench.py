@@ -25,8 +25,9 @@ from pathlib import Path
 from typing import Optional
 
 from .domain import SearchDomain, _line_error
-from .grid import LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives, load_scenarios
-from .oracle import tile_goal_distances, uniform_cost_optimal
+from .grid import (DEFAULT_FOOTPRINT, LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives,
+                   load_scenarios)
+from .oracle import ORACLE_CAP, tile_goal_distances, uniform_cost_optimal
 from .planner import MODES, Planner, PlannerConfig, SolutionRecord
 from .tiles import TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line
 from .verify import Verdict, verify_run
@@ -41,24 +42,21 @@ AGGREGATE_INSTANCE = "__mean__"
 HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "oracle", "oracle_cap"))
 # RunManifest fields that each run of a bench takes from the harness keys.
 PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
-# The PlannerConfig field that each manifest key sets.
-CONFIG_FIELDS = {"w1": "w1_init", "w2": "w2_init", "dw1": "dw1", "dw2": "dw2",
-                 "time_limit": "time_budget", "algo": "mode", "clock": "clock", "tick": "tick"}
 
 
 @dataclass
 class RunManifest:
     """Replayable description of one run."""
 
-    algo: str = "amha"
+    algo: str = PlannerConfig.algo
     domain: str = "tiles"
-    w1: float = 1.0
-    w2: float = 1.0
-    dw1: float = 1.0
-    dw2: float = 1.0
-    time_limit: float = math.inf
-    clock: str = "wall"
-    tick: float = 1e-4
+    w1: float = PlannerConfig.w1
+    w2: float = PlannerConfig.w2
+    dw1: float = PlannerConfig.dw1
+    dw2: float = PlannerConfig.dw2
+    time_limit: float = PlannerConfig.time_limit
+    clock: str = PlannerConfig.clock
+    tick: float = PlannerConfig.tick
     seed: int = 0
     # tiles
     board: str = ""
@@ -68,7 +66,7 @@ class RunManifest:
     map: str = ""
     start: str = ""
     goal: str = ""
-    footprint: str = "rect:1.2x0.8"
+    footprint: str = f"rect:{DEFAULT_FOOTPRINT.length}x{DEFAULT_FOOTPRINT.width}"
     primitives: str = "builtin16"
 
     def to_text(self) -> str:
@@ -145,15 +143,11 @@ class RunManifest:
         raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
 
     def build_config(self, record_expansions: bool = False) -> PlannerConfig:
-        """The run's PlannerConfig; a field out of range raises ValueError
-        naming the manifest key that sets it."""
-        try:
-            return PlannerConfig(record_expansions=record_expansions,
-                                 **{f: getattr(self, key) for key, f in CONFIG_FIELDS.items()})
-        except ValueError as err:
-            field, rest = str(err).split(" = ", 1)
-            key = next(key for key, f in CONFIG_FIELDS.items() if f == field)
-            raise ValueError(f"{key} = {rest}") from None
+        """The run's PlannerConfig, whose fields share the manifest's keys; a
+        field out of range raises ValueError naming it."""
+        keys = {f.name for f in dataclasses.fields(PlannerConfig)} & vars(self).keys()
+        return PlannerConfig(record_expansions=record_expansions,
+                             **{key: getattr(self, key) for key in keys})
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -267,7 +261,7 @@ def _build_manifests(values: dict[str, str], config_dir: Path) -> list[tuple[str
     Every key but the harness keys is a RunManifest field; `algo` and the
     instance fields come from `algos` and the instance or scenario file.
     """
-    algos = [a.strip() for a in values.get("algos", "amha").split(",") if a.strip()]
+    algos = [a.strip() for a in values.get("algos", RunManifest.algo).split(",") if a.strip()]
     unknown = [a for a in algos if a not in MODES]
     if unknown:
         raise ValueError(f"algos = {values['algos']!r}: unknown modes {unknown}, "
@@ -333,7 +327,7 @@ def run_matrix(config_path, out_dir) -> Path:
     if oracle not in ("on", "off"):
         raise ValueError(f"oracle = {oracle!r}: expected on or off")
     use_oracle = oracle == "on"
-    cap = values.get("oracle_cap", "2000000")
+    cap = values.get("oracle_cap", str(ORACLE_CAP))
     if not cap.isdigit():
         raise ValueError(f"oracle_cap = {cap!r}: expected int")
     manifests = _build_manifests(values, config_path.parent)
@@ -374,7 +368,7 @@ def run_matrix(config_path, out_dir) -> Path:
 
 
 def verify_manifest(
-    manifest: RunManifest, oracle_cap: int = 2_000_000,
+    manifest: RunManifest, oracle_cap: int = ORACLE_CAP,
     tile_tables: Optional[dict[tuple[int, int], dict[bytes, int]]] = None,
 ) -> tuple[Verdict, list[SolutionRecord], Planner, Optional[float]]:
     """Replay a manifest with logging and check it against the oracle.

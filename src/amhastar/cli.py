@@ -8,6 +8,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import RunManifest, curve_csv
+from .oracle import ORACLE_CAP
 from .planner import MODES, Outcome
 from .tiles import format_instance_line, random_solvable_board
 
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="replay a manifest and check its guarantees")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--oracle-cap", type=int, default=2_000_000)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

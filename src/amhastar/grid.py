@@ -45,23 +45,18 @@ INF = math.inf
 # A mask byte's starting field value in `_padded_sweep`: -1.0 if blocked.
 _SENTINEL = (INF,) + (-1.0,) * 255
 
-# 16-heading direction fan: ascending angles, integer displacements.
+# 16-heading direction fan: ascending angles, integer displacements. Every
+# second entry is the 8-heading fan, every fourth the 4-heading one.
 DIRS16 = (
     (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
     (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
 )
-DIRS8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-DIRS4 = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def heading_vector(num_headings: int, theta: int) -> tuple[int, int]:
-    if num_headings == 16:
-        return DIRS16[theta]
-    if num_headings == 8:
-        return DIRS8[theta]
-    if num_headings == 4:
-        return DIRS4[theta]
-    raise ValueError(f"unsupported heading count {num_headings}")
+    if num_headings not in (4, 8, 16):
+        raise ValueError(f"unsupported heading count {num_headings}")
+    return DIRS16[theta * (16 // num_headings)]
 
 
 def heading_angle(num_headings: int, theta: int) -> float:
@@ -69,8 +64,10 @@ def heading_angle(num_headings: int, theta: int) -> float:
     return math.atan2(dy, dx)
 
 
-# A map row's bytes, '.' and '#', as cell bytes 0 and 1.
+# A map row's bytes, '.' and '#', as cell bytes 0 and 1, and back: any
+# nonzero cell byte is an obstacle.
 _MAP_CELLS = bytes.maketrans(b".#", b"\x00\x01")
+_CELL_CHARS = b"." + b"#" * 255
 
 
 class OccupancyGrid:
@@ -128,11 +125,9 @@ class OccupancyGrid:
         res = self.resolution
         res_s = str(int(res)) if res == int(res) else repr(res)
         rows = [f"{self.width} {self.height} {res_s}"]
+        w = self.width
         for y in range(self.height):
-            rows.append(
-                "".join("#" if self.cells[y * self.width + x] else "."
-                        for x in range(self.width))
-            )
+            rows.append(self.cells[y * w:(y + 1) * w].translate(_CELL_CHARS).decode())
         return "\n".join(rows) + "\n"
 
     def in_bounds(self, x: int, y: int) -> bool:
@@ -199,6 +194,10 @@ class RobotFootprint:
         hl, hw = self.length / 2, self.width / 2
         corners = ((-hl, -hw), (hl, -hw), (hl, hw), (-hl, hw))
         return tuple((c * x - s * y, s * x + c * y) for x, y in corners)
+
+
+# The footprint of a LatticeDomain, or of a manifest, that names none.
+DEFAULT_FOOTPRINT = RobotFootprint(1.2, 0.8)
 
 
 def _segment_distance(px: float, py: float, a: tuple[float, float],
@@ -584,7 +583,7 @@ class LatticeDomain(SearchDomain):
         goal: tuple[int, int, Optional[int]] | tuple[int, int],
         primitives: Optional[Sequence[MotionPrimitive]] = None,
         num_headings: int = 16,
-        footprint: Optional[RobotFootprint] = None,
+        footprint: RobotFootprint = DEFAULT_FOOTPRINT,
     ) -> None:
         self.grid = grid
         self.num_headings = num_headings
@@ -596,7 +595,7 @@ class LatticeDomain(SearchDomain):
         self.primitives = list(primitives)
         if not self.primitives:
             raise ValueError("no motion primitives loaded")
-        self.footprint = footprint or RobotFootprint(1.2, 0.8)
+        self.footprint = footprint
         reach = self.footprint.circumscribed_radius
         diagonal = math.hypot(grid.width, grid.height) * grid.resolution
         # The mask cell under the farthest vertex is then off the map at every pose.

@@ -13,9 +13,12 @@ from typing import Optional
 from .domain import SearchDomain
 
 INF = math.inf
+# Settled states after which uniform_cost_optimal gives up: the default of
+# every oracle run, from the bench config's `oracle_cap` to `verify --oracle-cap`.
+ORACLE_CAP = 2_000_000
 
 
-def uniform_cost_optimal(domain: SearchDomain, state_cap: int = 2_000_000) -> Optional[float]:
+def uniform_cost_optimal(domain: SearchDomain, state_cap: int = ORACLE_CAP) -> Optional[float]:
     """Optimal start-to-goal cost by Dijkstra with no heuristic.
 
     Returns +inf when the goal is unreachable and None when the settled-state

@@ -10,7 +10,7 @@ re-queued at the next weight decrement, so work carries over between
 iterations. Published solutions are w1*w2-suboptimal and per-iteration
 re-expansion is capped at two (inadmissible then anchor).
 
-The baselines are modes of the same loop, chosen by PlannerConfig(mode=...)
+The baselines are modes of the same loop, chosen by PlannerConfig(algo=...)
 and run by Planner(domain, config).run(): `ara` (single queue, anytime on
 w1), `mha` (one-shot, stops after the first publish), `wastar` (single
 queue, one-shot) and `astar` (wastar at weight 1).
@@ -50,7 +50,7 @@ class PlannerConfig:
     w1 inflates heuristics inside queue keys, w2 gates inadmissible
     expansions relative to the anchor; both anneal by dw1/dw2 per iteration
     down to 1, computed on the decimal values as written; above 1, a step
-    must be at least two ulps of its initial weight. time_budget is in
+    must be at least two ulps of its initial weight. time_limit is in
     clock seconds, >= 0 and +inf for none ('wall' monotonic seconds, or
     deterministic virtual seconds advancing by a finite `tick` per expansion
     and per publish).
@@ -61,12 +61,12 @@ class PlannerConfig:
     ValueError with or without it.
     """
 
-    w1_init: float = 1.0
-    w2_init: float = 1.0
+    w1: float = 1.0
+    w2: float = 1.0
     dw1: float = 1.0
     dw2: float = 1.0
-    time_budget: float = INF
-    mode: str = "amha"
+    time_limit: float = INF
+    algo: str = "amha"
     clock: str = "wall"
     tick: float = 1e-4
     record_expansions: bool = False
@@ -75,22 +75,22 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         # A step below two ulps of a weight above 1 can round back to that
         # weight, and the schedule would repeat it without end.
-        least1, least2 = 2 * math.ulp(self.w1_init), 2 * math.ulp(self.w2_init)
+        least1, least2 = 2 * math.ulp(self.w1), 2 * math.ulp(self.w2)
         lowers = ", so each step lowers the weight"
         for name, ok, expected in (
-            ("w1_init", self.w1_init >= 1, ">= 1"),
-            ("w2_init", self.w2_init >= 1, ">= 1"),
-            ("w1_init", self.w1_init < INF, "finite"),
-            ("w2_init", self.w2_init < INF, "finite"),
+            ("w1", self.w1 >= 1, ">= 1"),
+            ("w2", self.w2 >= 1, ">= 1"),
+            ("w1", self.w1 < INF, "finite"),
+            ("w2", self.w2 < INF, "finite"),
             ("dw1", self.dw1 > 0, "> 0"),
             ("dw2", self.dw2 > 0, "> 0"),
-            ("dw1", self.w1_init <= 1 or self.dw1 >= least1, f">= {least1:.17g}{lowers}"),
-            ("dw2", self.w2_init <= 1 or self.dw2 >= least2, f">= {least2:.17g}{lowers}"),
-            ("mode", self.mode in MODES, f"one of {', '.join(MODES)}"),
+            ("dw1", self.w1 <= 1 or self.dw1 >= least1, f">= {least1:.17g}{lowers}"),
+            ("dw2", self.w2 <= 1 or self.dw2 >= least2, f">= {least2:.17g}{lowers}"),
+            ("algo", self.algo in MODES, f"one of {', '.join(MODES)}"),
             ("clock", self.clock in ("wall", "virtual"), "wall or virtual"),
             ("tick", self.tick > 0, "> 0"),
             ("tick", self.tick < INF, "finite"),
-            ("time_budget", self.time_budget >= 0, ">= 0"),
+            ("time_limit", self.time_limit >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)!r}: expected {expected}")
@@ -145,8 +145,8 @@ class Planner:
         self._domain = domain
         self._cfg = config or PlannerConfig()
         self._observer = observer
-        self._n = 0 if self._cfg.mode in SINGLE_QUEUE_MODES else domain.num_inadmissible
-        self._reopen = self._cfg.mode in REOPENING_MODES
+        self._n = 0 if self._cfg.algo in SINGLE_QUEUE_MODES else domain.num_inadmissible
+        self._reopen = self._cfg.algo in REOPENING_MODES
         self._g: dict[int, float] = {}
         self._parent: dict[int, int] = {}
         # Queue 0 is the anchor.
@@ -196,8 +196,8 @@ class Planner:
     def initialize(self) -> None:
         """Set weights, seed g(start)=0 / goal cost +inf, queue the start."""
         cfg = self._cfg
-        self._w1 = 1.0 if cfg.mode == "astar" else float(cfg.w1_init)
-        self._w2 = 1.0 if cfg.mode in SINGLE_QUEUE_MODES else float(cfg.w2_init)
+        self._w1 = 1.0 if cfg.algo == "astar" else float(cfg.w1)
+        self._w2 = 1.0 if cfg.algo in SINGLE_QUEUE_MODES else float(cfg.w2)
         start = self._domain.start()
         self._g[start] = 0
         self._parent[start] = -1
@@ -256,7 +256,7 @@ class Planner:
         """
         w2 = self._w2
         open0 = self._open[0]
-        budget = self._cfg.time_budget
+        budget = self._cfg.time_limit
         now = self._clock()
         if self._cfg.record_expansions:
             self.expansion_log.append([])
@@ -318,7 +318,7 @@ class Planner:
         """Full anytime loop; returns the published records in order."""
         self.initialize()
         cfg = self._cfg
-        w1_init, w2_init = self._w1, self._w2
+        w1_start, w2_start = self._w1, self._w2
         k = 0
         while True:
             self._closed_anch.clear()
@@ -328,11 +328,11 @@ class Planner:
             if self.outcome is not Outcome.GOAL_BOUND_PROVEN:
                 break
             self._publish()
-            if (self._w1 == 1 and self._w2 == 1) or cfg.mode in ONE_SHOT_MODES:
+            if (self._w1 == 1 and self._w2 == 1) or cfg.algo in ONE_SHOT_MODES:
                 break
             k += 1
-            self._w1 = _scheduled_weight(w1_init, cfg.dw1, k)
-            self._w2 = _scheduled_weight(w2_init, cfg.dw2, k)
+            self._w1 = _scheduled_weight(w1_start, cfg.dw1, k)
+            self._w2 = _scheduled_weight(w2_start, cfg.dw2, k)
             self.reconcile_queues()
         return self._records
 

@@ -26,7 +26,7 @@ def verify_run(
     records: Sequence[SolutionRecord],
     oracle_cost: Optional[float],
     expansion_log: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
-    mode: Optional[str] = None,
+    algo: Optional[str] = None,
 ) -> Verdict:
     """Check published records and the expansion log of one run.
 
@@ -34,7 +34,7 @@ def verify_run(
       (skipped when the oracle is unavailable).
     - expansion-limit: within each improve-path iteration no state is expanded
       more than twice, and a second expansion is anchor-after-inadmissible
-      (skipped for the planner's `mode` when it reopens closed states by
+      (skipped for the planner's `algo` when it reopens closed states by
       design, as `wastar` and `astar` do).
     - monotonicity: published costs and bounds never increase.
     """
@@ -51,7 +51,7 @@ def verify_run(
             verdict.fail(f"monotonicity: cost increases at record {k}")
         if records[k].bound > records[k - 1].bound:
             verdict.fail(f"monotonicity: bound increases at record {k}")
-    if expansion_log is not None and mode not in REOPENING_MODES:
+    if expansion_log is not None and algo not in REOPENING_MODES:
         for it, log in enumerate(expansion_log):
             seen: dict[int, list[int]] = {}
             for sid, qi in log:

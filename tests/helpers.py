@@ -10,8 +10,11 @@ from collections import deque
 from typing import Hashable, Mapping, Sequence
 
 from amhastar.domain import SearchDomain, StateInterner
-from amhastar.grid import DIRS8, INF
+from amhastar.grid import DIRS16, INF
 from amhastar.tiles import TileBoard, _blank_moves
+
+# The 8-connected grid steps, in the 16-heading fan's order.
+DIRS8 = DIRS16[::2]
 
 
 class ExplicitGraphDomain(SearchDomain):

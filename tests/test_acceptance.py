@@ -64,7 +64,7 @@ def tile_runs(tile_table):
         board = random_solvable_board(3, 3, seed=seed)
         domain = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed)
         planner = Planner(
-            domain, PlannerConfig(w1_init=w1, w2_init=w2, record_expansions=True)
+            domain, PlannerConfig(w1=w1, w2=w2, record_expansions=True)
         )
         records = planner.run()
         runs.append(
@@ -112,7 +112,7 @@ def grid_runs():
         grid, start, goal, optimal = random_grid_instance(seed)
         domain = LatticeDomain(grid, start, goal, footprint=TINY)
         planner = Planner(
-            domain, PlannerConfig(w1_init=w1, w2_init=w2, record_expansions=True)
+            domain, PlannerConfig(w1=w1, w2=w2, record_expansions=True)
         )
         records = planner.run()
         runs.append(
@@ -180,13 +180,13 @@ def test_oneshot_equivalence():
     for k in range(50):
         seed = 2000 + k
         board = random_solvable_board(3, 3, seed=seed)
-        cfg = PlannerConfig(w1_init=3.0, w2_init=2.0)
+        cfg = PlannerConfig(w1=3.0, w2=2.0)
         first = Planner(
             TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed), cfg
         ).run()[0]
         oneshot = Planner(
             TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed),
-            replace(cfg, mode="mha"),
+            replace(cfg, algo="mha"),
         ).run()
         assert len(oneshot) == 1
         only = oneshot[0]
@@ -202,14 +202,14 @@ def test_wastar_degeneracy():
         seed = 100 + k
         board = random_solvable_board(3, 3, seed=seed)
         anchor_copy = [(0.0, 1.0, 1.0)] * 2
-        cfg = PlannerConfig(w1_init=2.5, w2_init=1.0)
+        cfg = PlannerConfig(w1=2.5, w2=1.0)
         multi = Planner(
             TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy),
-            replace(cfg, mode="mha"),
+            replace(cfg, algo="mha"),
         ).run()
         plain = Planner(
             TilePuzzleDomain(board, num_inadmissible=0, weights=[]),
-            replace(cfg, mode="wastar"),
+            replace(cfg, algo="wastar"),
         ).run()
         assert multi[0].cost == plain[0].cost, f"seed {seed}"
     ok("wastar-degeneracy")
@@ -267,12 +267,12 @@ def test_first_solution_time_direction():
         for algo in ("amha", "ara"):
             domain = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
             if algo == "amha":
-                cfg = PlannerConfig(w1_init=12.5, w2_init=2.0, dw1=5.75, dw2=0.5,
-                                    mode="amha", clock="virtual", tick=2e-3,
-                                    time_budget=10.0)
+                cfg = PlannerConfig(w1=12.5, w2=2.0, dw1=5.75, dw2=0.5,
+                                    algo="amha", clock="virtual", tick=2e-3,
+                                    time_limit=10.0)
             else:
-                cfg = PlannerConfig(w1_init=25.0, dw1=12.0, mode="ara",
-                                    clock="virtual", tick=2e-3, time_budget=10.0)
+                cfg = PlannerConfig(w1=25.0, dw1=12.0, algo="ara",
+                                    clock="virtual", tick=2e-3, time_limit=10.0)
             records = Planner(domain, cfg).run()
             if records:
                 t_initial[algo].append(records[0].elapsed)

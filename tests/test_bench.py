@@ -365,6 +365,15 @@ def test_malformed_board_line_names_the_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_the_manifest_default_footprint_is_the_lattice_domains():
+    from amhastar.bench import parse_footprint
+    from amhastar.grid import LatticeDomain, OccupancyGrid
+
+    domain = LatticeDomain(OccupancyGrid.empty(15, 15, 1.0), (3, 7, 0), (11, 7))
+    assert RunManifest.footprint == "rect:1.2x0.8"
+    assert parse_footprint(RunManifest.footprint) == domain.footprint
+
+
 def grid_config(tmp_path, scenario, **extra):
     from amhastar.grid import OccupancyGrid
 

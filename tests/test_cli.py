@@ -145,6 +145,33 @@ def test_bench_and_verify_round_trip(capsys, tmp_path):
     assert "PASS" in out
 
 
+def test_bench_and_verify_default_to_the_one_oracle_cap(monkeypatch, tmp_path):
+    from amhastar import bench
+    from amhastar.grid import OccupancyGrid
+    from amhastar.oracle import ORACLE_CAP
+
+    caps = []
+    oracle = bench.uniform_cost_optimal
+
+    def recording_oracle(domain, state_cap):
+        caps.append(state_cap)
+        return oracle(domain, state_cap)
+
+    monkeypatch.setattr(bench, "uniform_cost_optimal", recording_oracle)
+    (tmp_path / "m.map").write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
+    (tmp_path / "q.scen").write_text("3 7 0 11 7\n")
+    (tmp_path / "grid.cfg").write_text(
+        "domain = grid\nalgos = wastar\nmap = m.map\nscenarios = q.scen\n"
+        "footprint = rect:0.4x0.3\nw1 = 2\nclock = virtual\noracle = on\n"
+    )
+    assert main(["bench", "--config", str(tmp_path / "grid.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "verdicts.txt").read_text() == "wastar--i000 PASS\n"
+    assert main(["verify", "--manifest",
+                 str(tmp_path / "out" / "manifests" / "wastar--i000.txt")]) == 0
+    assert caps == [ORACLE_CAP, ORACLE_CAP]
+
+
 def test_demo_wastar_reopenings_pass_bench_and_verify(capsys, tmp_path):
     # Boards i002 and i006 of the 8-puzzle demo, where weighted A* reopens
     # closed states: no verdict may count that as an expansion-limit failure.

@@ -9,19 +9,19 @@ from helpers import ExplicitGraphDomain, grid_domain
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PlannerConfig(w1_init=0.5)
+        PlannerConfig(w1=0.5)
     with pytest.raises(ValueError):
-        PlannerConfig(w2_init=0.0)
+        PlannerConfig(w2=0.0)
     with pytest.raises(ValueError):
         PlannerConfig(dw1=0.0)
     with pytest.raises(ValueError):
-        PlannerConfig(mode="sideways")
+        PlannerConfig(algo="sideways")
     with pytest.raises(ValueError):
         PlannerConfig(clock="sundial")
     with pytest.raises(ValueError, match=r"^dw2 = 1e-16: expected >= 4.4408920985006262e-16, "
                                          r"so each step lowers the weight$"):
-        PlannerConfig(w2_init=1.5, dw2=1e-16)  # below two ulps of 1.5
-    PlannerConfig(w1_init=1.0, dw1=1e-300)  # a weight of 1 never steps
+        PlannerConfig(w2=1.5, dw2=1e-16)  # below two ulps of 1.5
+    PlannerConfig(w1=1.0, dw1=1e-300)  # a weight of 1 never steps
 
 
 def test_interner_is_stable_and_dense():
@@ -67,7 +67,7 @@ def test_parent_cycle_detected():
 def test_observer_sees_records_in_publish_order():
     seen = []
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = Planner(dom, PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0),
+    records = Planner(dom, PlannerConfig(algo="amha", w1=3.0, w2=2.0),
                       observer=seen.append).run()
     assert seen == records
     assert [r.bound for r in seen] == [6.0, 2.0, 1.0]
@@ -76,7 +76,7 @@ def test_observer_sees_records_in_publish_order():
 def test_mha_degenerates_to_single_anchor_round_when_no_inadmissible():
     dom = ExplicitGraphDomain({"a": [("b", 1)], "b": [("c", 1)]}, "a", "c",
                               heuristics=[{}])
-    records = Planner(dom, PlannerConfig(mode="amha", w1_init=2.0, w2_init=2.0)).run()
+    records = Planner(dom, PlannerConfig(algo="amha", w1=2.0, w2=2.0)).run()
     assert records[-1].cost == 2
 
 
@@ -92,10 +92,10 @@ NAN, INF = float("nan"), float("inf")
 def test_nan_heuristic_is_rejected_and_inf_inadmissible_solves(heuristics, solves):
     dom = ExplicitGraphDomain({"a": [("b", 1), ("c", 5)], "b": [("c", 1)]}, "a", "c",
                               heuristics=heuristics)
-    for mode in ("amha", "mha"):
+    for algo in ("amha", "mha"):
         for check in (False, True):
-            planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0, dw1=0.5, dw2=0.5,
-                                                 mode=mode, check_invariants=check))
+            planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0, dw1=0.5, dw2=0.5,
+                                                 algo=algo, check_invariants=check))
             if solves:
                 records = planner.run()
                 assert records and records[-1].cost <= 2 * records[-1].bound
@@ -107,7 +107,7 @@ def test_nan_heuristic_is_rejected_and_inf_inadmissible_solves(heuristics, solve
 def test_reconcile_rejects_a_nan_key():
     dom = ExplicitGraphDomain({"a": [("b", 1)], "b": [("c", 1)]}, "a", "c",
                               heuristics=[{}, {}])
-    planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0))
     planner.initialize()
     planner.expand(dom.start(), 0)
     dom.heuristic = lambda sid, i: NAN if i == 1 else 0.0
@@ -148,6 +148,6 @@ class _Line(SearchDomain):
 ], ids=["zero-cost", "fractional-cost", "negative-cost", "negative-h0", "infinite-h0",
         "h0-at-goal", "h1-at-goal", "negative-h1", "start-is-goal"])
 def test_check_invariants_rejects_a_broken_domain_contract(costs, heuristics, match):
-    cfg = PlannerConfig(w1_init=2.0, w2_init=2.0, check_invariants=True)
+    cfg = PlannerConfig(w1=2.0, w2=2.0, check_invariants=True)
     with pytest.raises(ValueError, match=match):
         Planner(_Line(costs, heuristics), cfg).run()

@@ -49,6 +49,20 @@ def test_map_text_round_trip():
     again = OccupancyGrid.parse(g.to_text())
     assert (again.width, again.height, again.resolution) == (5, 4, 0.5)
     assert again.cells == g.cells
+    rng = random.Random(5)
+    g = OccupancyGrid.empty(37, 23, 0.25)
+    for _ in range(300):
+        g.set_obstacle(rng.randrange(37), rng.randrange(23))
+    text = g.to_text()
+    assert OccupancyGrid.parse(text).cells == g.cells
+    assert text.splitlines()[1:] == [
+        "".join(".#"[g.is_obstacle(x, y)] for x in range(37)) for y in range(23)]
+
+
+@pytest.mark.parametrize("name", ["open20", "rooms40", "yard30"])
+def test_shipped_map_text_round_trips_byte_for_byte(name):
+    text = shipped(f"maps/{name}.map").read_text()
+    assert OccupancyGrid.parse(text).to_text() == text
 
 
 def test_map_parse_rejects_bad_rows():
@@ -120,6 +134,16 @@ def test_turns_respect_minimum_radius():
         )
         radius = math.hypot(ex, ey) / (2 * math.sin(dphi / 2))
         assert radius >= 3.0
+
+
+@pytest.mark.parametrize("num_headings", [4, 8])
+def test_coarse_heading_fans_are_the_axes_and_diagonals_evenly_spaced(num_headings):
+    for t in range(num_headings):
+        assert max(map(abs, heading_vector(num_headings, t))) == 1
+        assert heading_angle(num_headings, t) == pytest.approx(
+            math.remainder(math.tau * t / num_headings, math.tau))
+    with pytest.raises(ValueError, match="unsupported heading count 6"):
+        heading_vector(6, 0)
 
 
 def test_primitive_file_round_trip(tmp_path):
@@ -612,7 +636,7 @@ def test_euclidean_consistency_over_all_edges_small_map():
 def test_solution_path_replays_through_primitives():
     g = OccupancyGrid.load(shipped("maps/yard30.map"))
     dom = LatticeDomain(g, (3, 15, 0), (26, 15), footprint=SMALL)
-    planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0))
     records = planner.run()
     assert records
     path = records[-1].path
@@ -632,7 +656,7 @@ def test_planner_state_tables_hold_only_reached_states():
     # corner, so tables sized by the largest sid would hold ~1.4M entries.
     g = OccupancyGrid.empty(300, 300)
     dom = LatticeDomain(g, (288, 292, 0), (283, 289))
-    planner = Planner(dom, PlannerConfig(w1_init=3.0, w2_init=2.0, record_expansions=True))
+    planner = Planner(dom, PlannerConfig(w1=3.0, w2=2.0, record_expansions=True))
     records = planner.run()
     assert records[-1].bound == 1.0
     expanded = {sid for log in planner.expansion_log for sid, _ in log}

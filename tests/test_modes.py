@@ -58,7 +58,7 @@ def test_unit_weights_give_single_optimal_iteration():
     dom = grid_domain(5, 5, (0, 0), (4, 2), walls=[(2, 0), (2, 1), (2, 2)])
     optimal = dijkstra_cost(grid_graph(5, 5, walls=[(2, 0), (2, 1), (2, 2)]),
                             (0, 0), (4, 2))
-    records = Planner(dom, PlannerConfig(mode="amha", w1_init=1.0, w2_init=1.0)).run()
+    records = Planner(dom, PlannerConfig(algo="amha", w1=1.0, w2=1.0)).run()
     assert len(records) == 1
     assert records[0].cost == optimal
     assert records[0].bound == 1.0
@@ -66,7 +66,7 @@ def test_unit_weights_give_single_optimal_iteration():
 
 def test_bound_schedule_3_2_with_unit_decrements():
     dom = grid_domain(6, 6, (0, 0), (5, 5))
-    cfg = PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0, dw1=1.0, dw2=1.0)
+    cfg = PlannerConfig(algo="amha", w1=3.0, w2=2.0, dw1=1.0, dw2=1.0)
     records = Planner(dom, cfg).run()
     assert [r.bound for r in records] == [6.0, 2.0, 1.0]
 
@@ -77,9 +77,9 @@ def test_decimal_weight_steps_do_not_drift():
     # floats nearest the written decimals.
     dom = grid_domain(6, 6, (0, 0), (5, 5))
     for w1, expected in ((1.3, [13, 12, 11, 10]), (2.0, list(range(20, 9, -1)))):
-        records = Planner(dom, PlannerConfig(mode="ara", w1_init=w1, dw1=0.1)).run()
+        records = Planner(dom, PlannerConfig(algo="ara", w1=w1, dw1=0.1)).run()
         assert [r.bound for r in records] == [x / 10 for x in expected]
-    cfg = PlannerConfig(mode="amha", w1_init=1.3, w2_init=1.3, dw1=0.1, dw2=0.1)
+    cfg = PlannerConfig(algo="amha", w1=1.3, w2=1.3, dw1=0.1, dw2=0.1)
     records = Planner(dom, cfg).run()
     assert [r.bound for r in records] == [w * w for w in (1.3, 1.2, 1.1, 1.0)]
 
@@ -93,7 +93,7 @@ def test_accepted_weight_schedules_strictly_decrease_to_one():
         w = 10 ** rng.uniform(0, 20)
         dw = w * 2 ** -rng.uniform(0, 56)
         try:
-            PlannerConfig(w1_init=w, w2_init=w, dw1=dw, dw2=dw)
+            PlannerConfig(w1=w, w2=w, dw1=dw, dw2=dw)
         except ValueError as err:
             assert str(err).startswith("dw1 = ") and dw < 2 * math.ulp(w)
             continue
@@ -109,21 +109,21 @@ def test_accepted_weight_schedules_strictly_decrease_to_one():
 def test_eight_puzzle_final_record_is_optimal():
     board = random_solvable_board(3, 3, seed=11)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=11)
-    records = Planner(dom, PlannerConfig(mode="amha", w1_init=3.0, w2_init=2.0)).run()
+    records = Planner(dom, PlannerConfig(algo="amha", w1=3.0, w2=2.0)).run()
     assert records[-1].bound == 1.0
     assert records[-1].cost == astar_manhattan_cost(board)
 
 
 def test_records_published_even_when_cost_is_unchanged():
     dom = grid_domain(4, 4, (0, 0), (3, 3))
-    records = Planner(dom, PlannerConfig(mode="amha", w1_init=2.0, w2_init=1.0, dw1=0.5)).run()
+    records = Planner(dom, PlannerConfig(algo="amha", w1=2.0, w2=1.0, dw1=0.5)).run()
     assert [r.bound for r in records] == [2.0, 1.5, 1.0]
     assert all(a.cost >= b.cost for a, b in zip(records, records[1:]))
 
 
 def test_no_solution_returns_empty_records():
     dom = ExplicitGraphDomain({"a": [("b", 1)], "b": []}, "a", "z", heuristics=[{}])
-    planner = Planner(dom, PlannerConfig(w1_init=4.0, w2_init=4.0))
+    planner = Planner(dom, PlannerConfig(w1=4.0, w2=4.0))
     assert planner.run() == []
     assert planner.outcome is Outcome.EXHAUSTED
 
@@ -135,7 +135,7 @@ def test_no_solution_returns_empty_records():
 def test_a_huge_finite_w2_publishes_and_converges():
     board = random_solvable_board(3, 3, seed=1)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=1)
-    planner = Planner(dom, PlannerConfig(w1_init=1.0, w2_init=1e307, dw2=1e307,
+    planner = Planner(dom, PlannerConfig(w1=1.0, w2=1e307, dw2=1e307,
                                          clock="virtual"))
     records = planner.run()
     assert planner.outcome is Outcome.GOAL_BOUND_PROVEN
@@ -146,7 +146,7 @@ def test_a_huge_finite_w2_publishes_and_converges():
 def test_a_huge_finite_w1_publishes_and_converges():
     walls = [(2, 0), (2, 1), (2, 2)]
     dom = grid_domain(5, 5, (0, 0), (4, 2), walls=walls)
-    planner = Planner(dom, PlannerConfig(w1_init=1e308, dw1=1e308))
+    planner = Planner(dom, PlannerConfig(w1=1e308, dw1=1e308))
     records = planner.run()
     assert planner.outcome is Outcome.GOAL_BOUND_PROVEN
     assert [r.bound for r in records] == [1e308, 1.0]
@@ -159,7 +159,7 @@ def test_an_empty_queue_yields_its_turn_to_the_anchor_at_an_overflowed_bound():
     edges = {"s": [("a", 10), ("b", 1)], "a": [], "b": [("a", 1)]}
     dom = ExplicitGraphDomain(edges, "s", "z", heuristics=[
         {"s": 5, "a": 0, "b": 100}, {"s": 5, "a": 0, "b": 100}])
-    planner = Planner(dom, PlannerConfig(w2_init=1e308, dw2=1e308, record_expansions=True))
+    planner = Planner(dom, PlannerConfig(w2=1e308, dw2=1e308, record_expansions=True))
     assert planner.run() == []
     assert planner.outcome is Outcome.EXHAUSTED
     s, a, b = map(dom.id_of, "sab")
@@ -171,8 +171,8 @@ def test_time_budget_keeps_published_records():
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=5)
     planner = Planner(
         dom,
-        PlannerConfig(w1_init=5.0, w2_init=5.0, dw1=0.25, dw2=0.25,
-                      clock="virtual", tick=1e-3, time_budget=0.05),
+        PlannerConfig(w1=5.0, w2=5.0, dw1=0.25, dw2=0.25,
+                      clock="virtual", tick=1e-3, time_limit=0.05),
     )
     records = planner.run()
     assert planner.outcome is Outcome.TIMED_OUT
@@ -188,7 +188,7 @@ def test_time_budget_keeps_published_records():
 
 def test_ara_with_unit_weight_is_optimal():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = Planner(dom, PlannerConfig(mode="ara", w1_init=1.0)).run()
+    records = Planner(dom, PlannerConfig(algo="ara", w1=1.0)).run()
     assert len(records) == 1
     assert records[0].cost == 8
 
@@ -197,7 +197,7 @@ def test_ara_first_solution_within_initial_bound():
     board = random_solvable_board(3, 3, seed=3)
     dom = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
     optimal = astar_manhattan_cost(board)
-    records = Planner(dom, PlannerConfig(mode="ara", w1_init=3.0, dw1=1.0)).run()
+    records = Planner(dom, PlannerConfig(algo="ara", w1=3.0, dw1=1.0)).run()
     assert records[0].cost <= 3.0 * optimal
     assert records[0].bound == 3.0
     assert records[-1].cost == optimal
@@ -207,7 +207,7 @@ def test_greedy_weight_expands_less_than_unit_weight_on_empty_grid():
     first_solution_expansions = {}
     for w1 in (10.0, 1.0):
         records = Planner(grid_domain(5, 5, (0, 0), (4, 4)),
-                          PlannerConfig(mode="ara", w1_init=w1, dw1=9.0)).run()
+                          PlannerConfig(algo="ara", w1=w1, dw1=9.0)).run()
         first_solution_expansions[w1] = records[0].expansions_total
     assert first_solution_expansions[10.0] < first_solution_expansions[1.0]
 
@@ -215,7 +215,7 @@ def test_greedy_weight_expands_less_than_unit_weight_on_empty_grid():
 def test_eight_puzzle_path_replays_through_moves():
     board = random_solvable_board(3, 3, seed=14)
     dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=14)
-    cfg = PlannerConfig(mode="amha", w1_init=5.0, w2_init=5.0, dw1=2.0, dw2=2.0)
+    cfg = PlannerConfig(algo="amha", w1=5.0, w2=5.0, dw1=2.0, dw2=2.0)
     records = Planner(dom, cfg).run()
     for rec in records:
         assert len(rec.path) - 1 == rec.cost  # unit edge costs
@@ -225,9 +225,9 @@ def test_eight_puzzle_path_replays_through_moves():
 
 def test_oneshot_equals_first_anytime_record():
     board = random_solvable_board(3, 3, seed=21)
-    cfg = PlannerConfig(w1_init=3.0, w2_init=2.0)
-    first = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, mode="amha")).run()[0]
-    only = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, mode="mha")).run()
+    cfg = PlannerConfig(w1=3.0, w2=2.0)
+    first = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, algo="amha")).run()[0]
+    only = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, algo="mha")).run()
     assert len(only) == 1
     assert (only[0].cost, only[0].path, only[0].expansions_total) == (
         first.cost, first.path, first.expansions_total
@@ -237,21 +237,21 @@ def test_oneshot_equals_first_anytime_record():
 def test_oneshot_with_unit_weights_is_optimal():
     board = random_solvable_board(3, 3, seed=8)
     dom = TilePuzzleDomain(board, weight_seed=8)
-    records = Planner(dom, PlannerConfig(mode="mha", w1_init=1.0, w2_init=1.0)).run()
+    records = Planner(dom, PlannerConfig(algo="mha", w1=1.0, w2=1.0)).run()
     assert records[0].cost == astar_manhattan_cost(board)
 
 
 def test_oneshot_publishes_exactly_one_record_with_flat_bound():
     board = random_solvable_board(3, 3, seed=9)
     dom = TilePuzzleDomain(board, weight_seed=9)
-    records = Planner(dom, PlannerConfig(mode="mha", w1_init=5.0, w2_init=5.0)).run()
+    records = Planner(dom, PlannerConfig(algo="mha", w1=5.0, w2=5.0)).run()
     assert len(records) == 1
     assert records[0].bound == 25.0
 
 
 def test_astar_ignores_configured_weights():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = Planner(dom, PlannerConfig(mode="astar", w1_init=9.0, w2_init=9.0)).run()
+    records = Planner(dom, PlannerConfig(algo="astar", w1=9.0, w2=9.0)).run()
     assert records[0].bound == 1.0
     assert records[0].cost == 8
 
@@ -264,9 +264,9 @@ def test_wastar_degeneracy_matches_multi_heuristic_run():
         anchor_copy = [(0.0, 1.0, 1.0)] * 2  # md + lc, same as heuristic 0
         dom_mh = TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy)
         dom_wa = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
-        cfg = PlannerConfig(w1_init=2.5, w2_init=1.0)
-        mh = Planner(dom_mh, replace(cfg, mode="mha")).run()
-        wa = Planner(dom_wa, replace(cfg, mode="wastar")).run()
+        cfg = PlannerConfig(w1=2.5, w2=1.0)
+        mh = Planner(dom_mh, replace(cfg, algo="mha")).run()
+        wa = Planner(dom_wa, replace(cfg, algo="wastar")).run()
         assert mh[0].cost == wa[0].cost
 
 
@@ -276,7 +276,7 @@ def test_wastar_degeneracy_matches_multi_heuristic_run():
 def test_invariants_hold_during_search():
     dom = grid_domain(7, 7, (0, 0), (6, 6), walls=[(3, y) for y in range(6)],
                       n_inadmissible=2)
-    cfg = PlannerConfig(w1_init=3.0, w2_init=2.0, check_invariants=True,
+    cfg = PlannerConfig(w1=3.0, w2=2.0, check_invariants=True,
                         record_expansions=True)
     planner = Planner(dom, cfg)
     records = planner.run()
@@ -289,7 +289,7 @@ def test_invariants_hold_during_search():
 def test_expansion_log_double_expansions_are_inadmissible_then_anchor():
     board = random_solvable_board(3, 3, seed=77)
     dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=77)
-    planner = Planner(dom, PlannerConfig(w1_init=4.0, w2_init=3.0,
+    planner = Planner(dom, PlannerConfig(w1=4.0, w2=3.0,
                                          record_expansions=True))
     planner.run()
     doubles = 0

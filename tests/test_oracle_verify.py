@@ -100,10 +100,10 @@ def test_verify_skips_bound_check_without_oracle():
 def test_reopening_modes_skip_only_the_expansion_limit():
     log = [[(5, 0), (5, 0)]]  # one state expanded twice from the anchor
     assert not verify_run([record(10, 2.0)], 10, log).passed
-    assert not verify_run([record(10, 2.0)], 10, log, mode="amha").passed
-    for mode in ("wastar", "astar"):
-        assert verify_run([record(10, 2.0)], 10, log, mode=mode).passed
-        over = verify_run([record(21, 2.0)], 10, log, mode=mode)
+    assert not verify_run([record(10, 2.0)], 10, log, algo="amha").passed
+    for algo in ("wastar", "astar"):
+        assert verify_run([record(10, 2.0)], 10, log, algo=algo).passed
+        over = verify_run([record(21, 2.0)], 10, log, algo=algo)
         assert [f.split(":")[0] for f in over.failures] == ["suboptimality-bound"]
-        rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, mode=mode)
+        rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, algo=algo)
         assert [f.split(":")[0] for f in rising.failures] == ["monotonicity"]

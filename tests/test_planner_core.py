@@ -57,14 +57,14 @@ def chain_domain(h0=None, h1=None):
 def test_key_is_g_plus_weighted_heuristic():
     dom = ExplicitGraphDomain({"a": [("b", 5)]}, "a", "b",
                               heuristics=[{"a": 5.0, "b": 0.0}])
-    planner = Planner(dom, PlannerConfig(w1_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=2.0))
     planner.initialize()
     assert planner.key(dom.id_of("a"), 0) == 10.0  # g=0, h=5, w1=2
 
 
 def test_key_at_goal_equals_g():
     dom = chain_domain(h0={"a": 2.0, "b": 1.0})
-    planner = Planner(dom, PlannerConfig(w1_init=7.0, w2_init=1.0))
+    planner = Planner(dom, PlannerConfig(w1=7.0, w2=1.0))
     planner.initialize()
     planner.improve_path()
     goal = dom.id_of("c")
@@ -75,7 +75,7 @@ def test_key_at_goal_equals_g():
 
 def test_key_of_unreached_state_is_infinite():
     dom = chain_domain(h0={"c": 3.0})
-    planner = Planner(dom, PlannerConfig(w1_init=1.0))
+    planner = Planner(dom, PlannerConfig(w1=1.0))
     planner.initialize()
     assert planner.key(dom.id_of("c"), 0) == INF
 
@@ -87,7 +87,7 @@ def test_expand_discovers_successor():
     dom = ExplicitGraphDomain(
         {"a": [("b", 4)], "b": []}, "a", "b", heuristics=[{}, {"a": 1.0, "b": 1.0}]
     )
-    planner = Planner(dom, PlannerConfig(w1_init=1.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=1.0, w2=2.0))
     planner.initialize()
     a, b = dom.id_of("a"), dom.id_of("b")
     planner.expand(a, 0)
@@ -132,7 +132,7 @@ def test_expand_ignores_non_improving_edge():
 def test_expand_on_chain_matches_independent_dijkstra():
     edges = {"a": [("b", 1)], "b": [("c", 1)], "c": []}
     dom = ExplicitGraphDomain(edges, "a", "c", heuristics=[{}, {}])
-    planner = Planner(dom, PlannerConfig(w1_init=1.0, w2_init=1.0))
+    planner = Planner(dom, PlannerConfig(w1=1.0, w2=1.0))
     planner.initialize()
     a, b = dom.id_of("a"), dom.id_of("b")
     planner.expand(a, 0)
@@ -168,7 +168,7 @@ def test_improve_path_bound_on_5x5_grid():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
     optimal = bfs_cost(grid_graph(5, 5), (0, 0), (4, 4))
     assert optimal == 8
-    planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0))
     planner.initialize()
     assert planner.improve_path() is Outcome.GOAL_BOUND_PROVEN
     assert planner.g(dom.id_of((4, 4))) <= 4 * optimal
@@ -177,7 +177,7 @@ def test_improve_path_bound_on_5x5_grid():
 def test_improve_path_respects_time_budget():
     dom = grid_domain(30, 30, (0, 0), (29, 29))
     planner = Planner(
-        dom, PlannerConfig(clock="virtual", tick=1.0, time_budget=5.0)
+        dom, PlannerConfig(clock="virtual", tick=1.0, time_limit=5.0)
     )
     planner.initialize()
     assert planner.improve_path() is Outcome.TIMED_OUT
@@ -190,7 +190,7 @@ def test_improve_path_respects_time_budget():
 def test_reconcile_moves_incons_and_mirrors_anchor():
     edges = {"a": [("b", 1), ("c", 1)], "b": [], "c": []}
     dom = ExplicitGraphDomain(edges, "a", "b", heuristics=[{}, {}])
-    planner = Planner(dom, PlannerConfig(w1_init=2.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0))
     planner.initialize()
     a, b, c = (dom.id_of(n) for n in "abc")
     planner.expand(a, 0)
@@ -217,7 +217,7 @@ def test_reconcile_rekeys_with_new_weight():
     dom = ExplicitGraphDomain(
         {"a": [("b", 1)], "b": []}, "a", "b", heuristics=[{"a": 4.0, "b": 2.0}]
     )
-    planner = Planner(dom, PlannerConfig(w1_init=4.0))
+    planner = Planner(dom, PlannerConfig(w1=4.0))
     planner.initialize()
     a, b = dom.id_of("a"), dom.id_of("b")
     planner.expand(a, 0)
@@ -257,7 +257,7 @@ def test_extract_path_requires_reached_state():
 def test_published_path_edge_costs_sum_to_cost():
     dom = grid_domain(6, 6, (0, 0), (5, 3), walls=[(2, y) for y in range(5)])
     edges = grid_graph(6, 6, walls=[(2, y) for y in range(5)])
-    planner = Planner(dom, PlannerConfig(w1_init=3.0, w2_init=2.0))
+    planner = Planner(dom, PlannerConfig(w1=3.0, w2=2.0))
     for rec in planner.run():
         nodes = [dom.node_of(s) for s in rec.path]
         total = 0
@@ -275,8 +275,8 @@ def test_finished_planner_is_freed_without_the_cyclic_collector(clock):
     gc.disable()
     try:
         domain = TilePuzzleDomain(random_solvable_board(3, 3, seed=5), num_inadmissible=2)
-        planner = Planner(domain, PlannerConfig(w1_init=3.0, w2_init=2.0, clock=clock,
-                                                time_budget=60.0, record_expansions=True))
+        planner = Planner(domain, PlannerConfig(w1=3.0, w2=2.0, clock=clock,
+                                                time_limit=60.0, record_expansions=True))
         assert planner.run()
         refs = [weakref.ref(planner), weakref.ref(domain)]
         del planner, domain

@@ -69,11 +69,11 @@ def build_domain(rng, edges, start, goals, n_inadmissible):
 
 
 CONFIGS = [
-    PlannerConfig(w1_init=1.0, w2_init=1.0, check_invariants=True, record_expansions=True),
-    PlannerConfig(w1_init=3.0, w2_init=2.0, check_invariants=True, record_expansions=True),
-    PlannerConfig(w1_init=2.0, w2_init=4.0, dw1=0.5, dw2=1.5,
+    PlannerConfig(w1=1.0, w2=1.0, check_invariants=True, record_expansions=True),
+    PlannerConfig(w1=3.0, w2=2.0, check_invariants=True, record_expansions=True),
+    PlannerConfig(w1=2.0, w2=4.0, dw1=0.5, dw2=1.5,
                   check_invariants=True, record_expansions=True),
-    PlannerConfig(w1_init=4.0, w2_init=3.0, check_invariants=True, record_expansions=True),
+    PlannerConfig(w1=4.0, w2=3.0, check_invariants=True, record_expansions=True),
 ]
 
 
@@ -111,9 +111,9 @@ def test_budget_abort_leaves_consistent_records(trial):
     rng = random.Random(55_000 + trial)
     edges, start, goals = random_graph(rng, 80)
     dom, togo = build_domain(rng, edges, start, goals, n_inadmissible=2)
-    cfg = PlannerConfig(w1_init=5.0, w2_init=5.0, dw1=0.25, dw2=0.25,
+    cfg = PlannerConfig(w1=5.0, w2=5.0, dw1=0.25, dw2=0.25,
                         clock="virtual", tick=1.0,
-                        time_budget=float(rng.randrange(0, 30)),
+                        time_limit=float(rng.randrange(0, 30)),
                         record_expansions=True)
     planner = Planner(dom, cfg)
     records = planner.run()

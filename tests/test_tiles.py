@@ -226,8 +226,8 @@ def test_start_that_is_the_goal_is_scored_once():
 
 def test_states_with_equal_triples_share_one_tuple():
     dom = TilePuzzleDomain(random_solvable_board(4, 4, seed=3001), num_inadmissible=3)
-    Planner(dom, PlannerConfig(mode="amha", w1_init=5.0, w2_init=2.0, clock="virtual",
-                               tick=1.0, time_budget=2000)).run()
+    Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, clock="virtual",
+                               tick=1.0, time_limit=2000)).run()
     by_triple = {}
     for sid in range(len(dom._interner)):
         by_triple.setdefault(dom._h[sid][-3:], []).append(sid)
@@ -245,9 +245,9 @@ def test_bytes_per_state_bounded():
     tracemalloc.start()
     try:
         dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=3001)
-        planner = Planner(dom, PlannerConfig(mode="amha", w1_init=5.0, w2_init=2.0, dw1=0.25,
+        planner = Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, dw1=0.25,
                                              dw2=0.1, clock="virtual", tick=1.0,
-                                             time_budget=20000))
+                                             time_limit=20000))
         planner.run()
         held, _ = tracemalloc.get_traced_memory()  # the planner's tables included
     finally:
@@ -277,7 +277,7 @@ def test_generated_boards_solve_to_goal():
     for seed in range(4):
         board = random_solvable_board(3, 3, seed=seed)
         dom = TilePuzzleDomain(board, num_inadmissible=1, weight_seed=seed)
-        records = Planner(dom, PlannerConfig(mode="amha", w1_init=1.0, w2_init=1.0)).run()
+        records = Planner(dom, PlannerConfig(algo="amha", w1=1.0, w2=1.0)).run()
         assert records and records[-1].bound == 1.0
         depths = bfs_depths(board)
         assert records[-1].cost == depths[goal_board(3, 3).tiles]
