@@ -25,13 +25,19 @@ blocking radius, the blocked-cell mask, padded by one blocked cell on
 every side; and, per set of swept cells, the collision maps. Each goal's
 Dijkstra fields are swept on that padded mask, so a neighbour needs no
 bounds test. The grid has two step lengths, straight and diagonal, so the
-sweep keeps one FIFO per step length instead of a binary heap
-(`_padded_sweep`); the fields are the heap sweep's, float for float.
+sweep (`_padded_sweep`) keeps one FIFO per step length instead of a binary
+heap, and merges the sources in from their own sorted queue, so cells pop
+in nondecreasing order. Each entry carries the step that reached its cell,
+and a popped cell relaxes only the neighbours that this step leaves open:
+three, plus a forced one beside each blocked straight neighbour of a
+diagonal arrival. A skipped neighbour already holds at most what it would
+be offered, so the fields are the heap sweep's, float for float.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from array import array
 from collections import deque
@@ -42,8 +48,8 @@ from typing import Optional, Sequence
 from .domain import SearchDomain, _line_error
 
 INF = math.inf
-# A mask byte's starting field value in `_padded_sweep`: -1.0 if blocked.
-_SENTINEL = (INF,) + (-1.0,) * 255
+_BLOCKED_RUN = re.compile(rb"[^\x00]+")
+_NONZERO = b"\x00" + b"\x01" * 255
 
 # 16-heading direction fan: ascending angles, integer displacements. Every
 # second entry is the 8-heading fan, every fourth the 4-heading one.
@@ -134,9 +140,11 @@ class OccupancyGrid:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def is_obstacle(self, x: int, y: int) -> bool:
-        if not self.in_bounds(x, y):
-            return True
-        return bool(self.cells[y * self.width + x])
+        # `in_bounds` inline: workload generators call this per cell
+        w = self.width
+        if 0 <= x < w and 0 <= y < self.height:
+            return bool(self.cells[y * w + x])
+        return True
 
     def set_obstacle(self, x: int, y: int, value: bool = True) -> None:
         self.cells[y * self.width + x] = 1 if value else 0
@@ -332,7 +340,7 @@ def clearance_field(grid: OccupancyGrid) -> array:
                 sources.append((0.0, row + x))
             elif x == 0 or y == 0 or x == w - 1 or y == h - 1:
                 sources.append((grid.resolution, row + x))
-    return _padded_sweep(ring, sources, w, h, grid.resolution)
+    return _padded_sweep(bytes(ring), sources, w, h, grid.resolution)
 
 
 @functools.lru_cache(maxsize=4)
@@ -384,6 +392,18 @@ def dijkstra_field(
     return _padded_sweep(blocked, [(0.0, (gy + 1) * stride + gx + 1)], w, h, 1000.0 * res)
 
 
+@functools.lru_cache(maxsize=12)
+def _sweep_tables(mask: bytes, stride: int) -> tuple[array, bytes]:
+    """What `_padded_sweep` reads of a padded mask with this stride: its
+    blocked cells as flat `start, end` pairs, one per maximal run of nonzero
+    bytes, and a byte per cell, nonzero where a straight neighbour is
+    blocked."""
+    runs = array("l", [i for run in _BLOCKED_RUN.finditer(mask) for i in run.span()])
+    cells = int.from_bytes(mask.translate(_NONZERO), "little")
+    walled = cells << 8 | cells >> 8 | cells << 8 * stride | cells >> 8 * stride
+    return runs, walled.to_bytes(len(mask) + stride, "little")
+
+
 def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, height: int,
                   straight: float) -> array:
     """8-connected multi-source Dijkstra on a flat mask with stride
@@ -395,85 +415,139 @@ def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, 
     `width * height` array, +inf where blocked or unreached.
 
     With two step lengths a heap is not needed (Orlin, Madduri, Subramani &
-    Williamson, J. Discrete Algorithms 2010): one FIFO per step length, and
-    each pop takes the lesser head. While pops come out in nondecreasing
-    order, a FIFO receives `fl(d + step)` of nondecreasing `d`, monotone in
-    `d`, so it stays sorted. The sorted sources seed the straight FIFO,
-    which keeps it sorted from the start when they lie within one straight
-    step of the least source, as for every caller here. Farther sources
-    unsort it for a while, but the stale skip (`d > field[idx]`) makes the
-    sweep label-correcting: a cell whose value drops is queued again, so
-    each cell ends at the least of its source distance and `fl(d + step)`
-    over its neighbours, the same fixpoint whatever the pop order. The
-    order only decides how often a cell is propagated.
+    Williamson, J. Discrete Algorithms 2010): one FIFO per step length. The
+    sources wait in their own sorted queue, and each pop takes the least of
+    the three heads. Pops therefore come out in nondecreasing order for any
+    source distances, each FIFO receives `fl(d + step)` of nondecreasing `d`
+    and stays sorted, and a cell is final when it is first popped at its
+    value; a popped entry above its cell's value is stale and skipped.
+
+    Each FIFO entry carries the step that reached its cell, and a popped
+    cell relaxes only the neighbours that this step leaves open, the
+    canonical ordering of Harabor & Grastien (AAAI 2011) without jumps:
+    - a source opens all eight;
+    - a cell `c` reached by a straight step `u` opens `c+u` and `c+u±p`,
+      where `p` is the perpendicular step;
+    - a cell reached by a diagonal step `a+b` (`a` = ±1, `b` = ±stride)
+      opens `c+a`, `c+b` and `c+a+b`, and the forced neighbours `c-a+b`
+      where `c-a` is blocked and `c+a-b` where `c-b` is blocked.
+
+    The fields are the full sweep's, float for float. By induction over the
+    pops, once a cell is popped every unblocked neighbour holds at most its
+    value plus the step between them. A neighbour that a cell skips is a
+    neighbour of its parent, or of an unblocked `c-a` or `c-b`, and both
+    were popped earlier at lower values. So it already holds at most the
+    skipped candidate: the margins `2 * straight - diagonal` and `diagonal -
+    straight` are far wider than rounding while distances stay below about
+    2**50 steps.
 
     Blocked cells start at -1.0, below every distance, so a neighbour costs
-    one compare and needs no bounds test. The rows are copied out of the
-    padding into the returned array, the sentinels mapped back to +inf.
+    one compare and needs no bounds test. They are written from the mask's
+    cached runs (`_sweep_tables`), which also say which cells need the
+    forced checks, and are reset to +inf before the rows are copied out of
+    the padding.
     """
     stride = width + 2
     diagonal = straight * math.sqrt(2)
-    field = list(map(_SENTINEL.__getitem__, blocked))
+    runs, walled = _sweep_tables(blocked, stride)
+    field = [INF] * len(blocked)
+    ends = iter(runs)
+    for a, b in zip(ends, ends):
+        field[a:b] = [-1.0] * (b - a)
     for d, idx in sources:
         field[idx] = d
-    straights = deque(sorted(sources))
+    # The steps that an arrival step leaves open: (u, u+p, u-p) after a
+    # straight u; (a, b, a+b, b-a, a-b) after a diagonal a+b, the last two
+    # forced.
+    opens = {}
+    for u, p in ((1, stride), (-1, stride), (stride, 1), (-stride, 1)):
+        opens[u] = (u, u + p, u - p)
+    for a in (1, -1):
+        for b in (stride, -stride):
+            opens[a + b] = (a, b, a + b, b - a, a - b)
+    seeds = sorted(sources, reverse=True)
+    limit = seeds[-1][0] if seeds else INF
+    straights: deque = deque()
     diagonals: deque = deque()
     pop_s, pop_d = straights.popleft, diagonals.popleft
     push_s, push_d = straights.append, diagonals.append
-    ne, nw = stride + 1, stride - 1
+    everywhere = [(u, straight, push_s) for u in (1, -1, stride, -stride)] + [
+        (u, diagonal, push_d) for u in (stride + 1, stride - 1, 1 - stride, -1 - stride)]
     while True:
-        if straights:
-            if diagonals and diagonals[0][0] < straights[0][0]:
-                d, idx = pop_d()
-            else:
-                d, idx = pop_s()
-        elif diagonals:
-            d, idx = pop_d()
-        else:
+        if diagonals and (not straights or diagonals[0][0] < straights[0][0]):
+            d, idx, u = pop_d()
+            if d <= limit:
+                if d > field[idx]:
+                    continue
+                a, b, u, ba, ab = opens[u]
+                nd = d + straight
+                n = idx + a
+                if nd < field[n]:
+                    field[n] = nd
+                    push_s((nd, n, a))
+                n = idx + b
+                if nd < field[n]:
+                    field[n] = nd
+                    push_s((nd, n, b))
+                nd = d + diagonal
+                n = idx + u
+                if nd < field[n]:
+                    field[n] = nd
+                    push_d((nd, n, u))
+                if walled[idx]:
+                    if field[idx - a] < 0.0:
+                        n = idx + ba
+                        if nd < field[n]:
+                            field[n] = nd
+                            push_d((nd, n, ba))
+                    if field[idx - b] < 0.0:
+                        n = idx + ab
+                        if nd < field[n]:
+                            field[n] = nd
+                            push_d((nd, n, ab))
+                continue
+            diagonals.appendleft((d, idx, u))
+        elif straights:
+            d, idx, u = pop_s()
+            if d <= limit:
+                if d > field[idx]:
+                    continue
+                u, left, right = opens[u]
+                n = idx + u
+                nd = d + straight
+                if nd < field[n]:
+                    field[n] = nd
+                    push_s((nd, n, u))
+                nd = d + diagonal
+                n = idx + left
+                if nd < field[n]:
+                    field[n] = nd
+                    push_d((nd, n, left))
+                n = idx + right
+                if nd < field[n]:
+                    field[n] = nd
+                    push_d((nd, n, right))
+                continue
+            straights.appendleft((d, idx, u))
+        elif not seeds:
             break
-        if d > field[idx]:
-            continue
-        nd = d + straight
-        n = idx + 1
-        if nd < field[n]:
-            field[n] = nd
-            push_s((nd, n))
-        n = idx - 1
-        if nd < field[n]:
-            field[n] = nd
-            push_s((nd, n))
-        n = idx + stride
-        if nd < field[n]:
-            field[n] = nd
-            push_s((nd, n))
-        n = idx - stride
-        if nd < field[n]:
-            field[n] = nd
-            push_s((nd, n))
-        nd = d + diagonal
-        n = idx + ne
-        if nd < field[n]:
-            field[n] = nd
-            push_d((nd, n))
-        n = idx + nw
-        if nd < field[n]:
-            field[n] = nd
-            push_d((nd, n))
-        n = idx - nw
-        if nd < field[n]:
-            field[n] = nd
-            push_d((nd, n))
-        n = idx - ne
-        if nd < field[n]:
-            field[n] = nd
-            push_d((nd, n))
+        # The least sources come before both FIFO heads.
+        while seeds and seeds[-1][0] == limit:
+            idx = seeds.pop()[1]
+            if limit <= field[idx]:
+                for u, step, push in everywhere:
+                    nd = limit + step
+                    n = idx + u
+                    if nd < field[n]:
+                        field[n] = nd
+                        push((nd, n, u))
+        limit = seeds[-1][0] if seeds else INF
+    ends = iter(runs)
+    for a, b in zip(ends, ends):
+        field[a:b] = [INF] * (b - a)
     out = array("d")
-    for y in range(height):
-        row = (y + 1) * stride + 1
-        cells = field[row:row + width]
-        if -1.0 in cells:
-            cells = [INF if v < 0.0 else v for v in cells]
-        out.fromlist(cells)
+    for row in range(stride + 1, (height + 1) * stride, stride):
+        out.fromlist(field[row:row + width])
     return out
 
 

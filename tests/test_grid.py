@@ -5,6 +5,7 @@ import random
 import re
 import warnings
 from array import array
+from collections import deque
 
 import pytest
 
@@ -90,6 +91,16 @@ def test_out_of_bounds_is_obstacle():
     assert g.is_obstacle(-1, 0)
     assert g.is_obstacle(0, 3)
     assert not g.is_obstacle(1, 1)
+
+
+@pytest.mark.parametrize("name", ["rooms40", "yard30"])
+def test_is_obstacle_is_off_the_map_or_a_set_cell(name):
+    g = OccupancyGrid.load(shipped(f"maps/{name}.map"))
+    assert any(g.cells)
+    for y in range(-1, g.height + 1):   # every cell and a one-cell ring around the map
+        for x in range(-1, g.width + 1):
+            expected = not g.in_bounds(x, y) or bool(g.cells[y * g.width + x])
+            assert g.is_obstacle(x, y) is expected, (x, y)
 
 
 # -- motion primitives ------------------------------------------------------------
@@ -454,6 +465,20 @@ def _sweep_masks(rng):
     yield "split", 10, 6, padded(10, 6, lambda x, y: x == 4)
     # a closed ring of walls around a 3x3 pocket
     yield "pocket", 12, 10, padded(12, 10, lambda x, y: max(abs(x - 5), abs(y - 4)) == 2)
+    # Masks where a diagonal arrival's forced neighbours matter. Diagonal
+    # walls, both slopes, with one-cell gaps: a path bends around each wall
+    # end and through each gap.
+    yield "diagonal walls", 15, 13, padded(15, 13, lambda x, y: (
+        (x + y if x < 7 else x - y) % 5 == 0 and (3 * x + y) % 7 != 2))
+    # a checkerboard: free cells touch only at corners
+    yield "checkerboard", 9, 8, padded(9, 8, lambda x, y: (x + y) % 2 == 1)
+    yield "checkerboard", 8, 9, padded(8, 9, lambda x, y: (x + y) % 2 == 0)
+    # L-shaped corners in all four orientations, arms two and three cells long
+    corners = {(cx + sx * i, cy) for cx, cy, sx, sy in ((2, 2, 1, 1), (11, 3, -1, 1),
+                                                          (3, 10, 1, -1), (10, 9, -1, -1))
+               for i in range(3)} | {(cx, cy + sy * i) for cx, cy, sx, sy in (
+                   (2, 2, 1, 1), (11, 3, -1, 1), (3, 10, 1, -1), (10, 9, -1, -1)) for i in range(2)}
+    yield "corners", 14, 13, padded(14, 13, lambda x, y: (x, y) in corners)
 
 
 def test_padded_sweep_equals_heap_reference_exactly():
@@ -476,6 +501,49 @@ def test_padded_sweep_equals_heap_reference_exactly():
                 unreached_free += sum(v == INF and not mask[idx]
                                       for v, idx in zip(expected, inner))
     assert far_sources > 100 and unreached_free > 100
+
+
+def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
+    # The fields would stay exact if far sources were queued at a FIFO's
+    # tail: a cell popped early is queued again when its value drops. But
+    # cells would then pop out of order and relax their neighbours from
+    # values that are not final, doing the work twice.
+    popped: list[float] = []
+    pushed: list[tuple[float, int, int]] = []
+
+    class RecordingDeque(deque):
+        def popleft(self):
+            entry = super().popleft()
+            popped.append(entry[0])
+            return entry
+
+        def append(self, entry):
+            pushed.append(entry)
+            super().append(entry)
+
+    monkeypatch.setattr(grid_mod, "deque", RecordingDeque)
+    rng = random.Random(31)
+    far_sources = 0
+    for name, width, height, mask in _sweep_masks(rng):
+        stride = width + 2
+        free = [i for i, b in enumerate(mask) if not b]
+        for straight in (1.0, 0.7):
+            diagonal = straight * math.sqrt(2)
+            far = 3 * diagonal
+            for _ in range(3):
+                cells = rng.sample(free, min(len(free), rng.randint(2, 5)))
+                sources = [(rng.choice((0.0, rng.uniform(0.0, far))), idx) for idx in cells]
+                popped.clear()
+                pushed.clear()
+                field = grid_mod._padded_sweep(mask, sources, width, height, straight)
+                case = (name, width, height, straight, sources)
+                assert popped == sorted(popped), case
+                for d, n, u in pushed:
+                    y, x = divmod(n - u, stride)
+                    step = straight if u in (1, -1, stride, -stride) else diagonal
+                    assert d == field[(y - 1) * width + x - 1] + step, case
+                far_sources += max(d for d, _ in sources) > diagonal
+    assert far_sources > 50
 
 
 def _count_clearance_calls(monkeypatch):
