@@ -69,6 +69,10 @@ class RunManifest:
     footprint: str = f"rect:{DEFAULT_FOOTPRINT.length}x{DEFAULT_FOOTPRINT.width}"
     primitives: str = "builtin16"
 
+    def __post_init__(self) -> None:
+        if self.n_heur < 0:
+            raise ValueError(f"n_heur = {self.n_heur}: expected >= 0")
+
     def to_text(self) -> str:
         lines = ["manifest_version = 1"]
         for f in dataclasses.fields(self):

@@ -24,14 +24,16 @@ resolution and cells, not the grid object): the clearance field; per
 blocking radius, the blocked-cell mask, padded by one blocked cell on
 every side; and, per set of swept cells, the collision maps. Each goal's
 Dijkstra fields are swept on that padded mask, so a neighbour needs no
-bounds test. The grid has two step lengths, straight and diagonal, so the
+bounds test; the clearance field is swept on the map framed by its
+out-of-bounds ring as obstacle cells, so every sweep source sits at
+distance 0. The grid has two step lengths, straight and diagonal, so the
 sweep (`_padded_sweep`) keeps one FIFO per step length instead of a binary
-heap, and merges the sources in from their own sorted queue, so cells pop
-in nondecreasing order. Each entry carries the step that reached its cell,
-and a popped cell relaxes only the neighbours that this step leaves open:
-three, plus a forced one beside each blocked straight neighbour of a
-diagonal arrival. A skipped neighbour already holds at most what it would
-be offered, so the fields are the heap sweep's, float for float.
+heap, and cells pop in nondecreasing order. Each entry carries the step
+that reached its cell, and a popped cell relaxes only the neighbours that
+this step leaves open: three, plus a forced one beside each blocked
+straight neighbour of a diagonal arrival. A skipped neighbour already
+holds at most what it would be offered, so the fields are the heap
+sweep's, float for float.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -108,6 +111,9 @@ class OccupancyGrid:
             raise _line_error(
                 n, f"bad map header {header!r}: expected `width height resolution`"
             ) from None
+        if not 0 < res < INF:
+            raise _line_error(n, f"bad map header {header!r}: resolution must be positive "
+                                 "and finite")
         if len(lines) != h + 1:
             # the last row read, or the first row past the declared height
             n = lines[min(len(lines) - 1, h + 1)][0]
@@ -292,6 +298,8 @@ def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
             raise _line_error(1, f"bad primitive file header {' '.join(header)!r}: "
                                  "expected `headings N cost_scale 1000`")
         num_headings = int(header[1])
+        if num_headings not in (4, 8, 16):
+            raise _line_error(1, f"headings {num_headings}: expected 4, 8 or 16")
         if int(header[3]) != 1000:
             raise _line_error(1, "only cost_scale 1000 is supported")
         prims = []
@@ -320,27 +328,40 @@ def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
 # -- heuristic fields ---------------------------------------------------------
 
 
+def _padded(cells, width: int, height: int, pad: int) -> bytes:
+    """A `width * height` map of cell bytes framed by `pad` obstacle cells
+    on every side, as flat bytes with stride `width + 2 * pad`."""
+    stride = width + 2 * pad
+    out = bytearray(b"\x01") * (stride * (height + 2 * pad))
+    for y in range(height):
+        row = (y + pad) * stride + pad
+        out[row:row + width] = cells[y * width:(y + 1) * width]
+    return bytes(out)
+
+
 def clearance_field(grid: OccupancyGrid) -> array:
     """Octile distance (meters) from each cell center to the nearest obstacle
     cell center, with the out-of-bounds ring counting as obstacles.
 
-    One sweep from every obstacle (at 0) and from every edge cell (at one
-    straight step, its distance to the ring), over the map padded by one
-    cell that the sweep never enters.
+    One sweep from every obstacle of the map framed by that ring. A path
+    that enters the map diagonally from a ring cell is never shorter than
+    the straight step from the ring cell beside it, so an edge cell holds
+    one straight step.
     """
     w, h = grid.width, grid.height
-    stride = w + 2
-    ring = bytearray(b"\x01") * (stride * (h + 2))
-    sources = []
-    for y in range(h):
+    framed = _padded(grid.cells, w, h, 1)
+    fw, fh = w + 2, h + 2
+    stride = fw + 2
+    sources: list[int] = []
+    for y in range(fh):
         row = (y + 1) * stride + 1
-        ring[row:row + w] = bytes(w)
-        for x in range(w):
-            if grid.cells[y * w + x]:
-                sources.append((0.0, row + x))
-            elif x == 0 or y == 0 or x == w - 1 or y == h - 1:
-                sources.append((grid.resolution, row + x))
-    return _padded_sweep(bytes(ring), sources, w, h, grid.resolution)
+        sources += compress(range(row, row + fw), framed[y * fw:(y + 1) * fw])
+    tables = _sweep_tables(_padded(bytes(len(framed)), fw, fh, 1), stride)
+    field = _padded_sweep(tables, sources, fw, fh, grid.resolution)
+    out = array("d")
+    for row in range(fw + 1, (h + 1) * fw, fw):
+        out += field[row:row + w]
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -351,16 +372,12 @@ def _map_clearance(width: int, height: int, resolution: float, cells: bytes) -> 
 
 @functools.lru_cache(maxsize=12)
 def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
-                  radius: float) -> bytes:
-    """Cells with clearance <= radius (obstacles read 0.0), as a flat mask
-    with stride `width + 2`, padded by one blocked cell on every side."""
+                  radius: float) -> tuple[bytes, array, bytes]:
+    """The `_sweep_tables` of the cells with clearance <= radius (obstacles
+    read 0.0), padded by one blocked cell on every side."""
     clearance = _map_clearance(width, height, resolution, cells)
-    stride = width + 2
-    mask = bytearray(b"\x01") * (stride * (height + 2))
-    for y in range(height):
-        row = (y + 1) * stride + 1
-        mask[row:row + width] = bytes(map(radius.__ge__, clearance[y * width:(y + 1) * width]))
-    return bytes(mask)
+    blocked = _padded(bytes(map(radius.__ge__, clearance)), width, height, 1)
+    return _sweep_tables(blocked, width + 2)
 
 
 def dijkstra_field(
@@ -380,46 +397,46 @@ def dijkstra_field(
     if not block_radius >= 0:
         raise ValueError(f"block_radius = {block_radius!r}: expected >= 0")
     w, h, res = grid.width, grid.height, grid.resolution
-    blocked = _blocked_mask(w, h, res, bytes(grid.cells), float(block_radius))
-    stride = w + 2
+    tables = _blocked_mask(w, h, res, bytes(grid.cells), float(block_radius))
     gx, gy = goal
-    if not grid.in_bounds(gx, gy) or blocked[(gy + 1) * stride + gx + 1]:
+    goal_idx = (gy + 1) * (w + 2) + gx + 1
+    if not grid.in_bounds(gx, gy) or tables[0][goal_idx]:
         warnings.warn(
             f"field goal {goal} blocked at radius {block_radius}; field is all-inf",
             stacklevel=2,
         )
         return array("d", [INF]) * (w * h)
-    return _padded_sweep(blocked, [(0.0, (gy + 1) * stride + gx + 1)], w, h, 1000.0 * res)
+    return _padded_sweep(tables, [goal_idx], w, h, 1000.0 * res)
 
 
-@functools.lru_cache(maxsize=12)
-def _sweep_tables(mask: bytes, stride: int) -> tuple[array, bytes]:
-    """What `_padded_sweep` reads of a padded mask with this stride: its
-    blocked cells as flat `start, end` pairs, one per maximal run of nonzero
-    bytes, and a byte per cell, nonzero where a straight neighbour is
-    blocked."""
+def _sweep_tables(mask: bytes, stride: int) -> tuple[bytes, array, bytes]:
+    """A padded mask with this stride and what `_padded_sweep` reads of it:
+    its blocked cells as flat `start, end` pairs, one per maximal run of
+    nonzero bytes, and a byte per cell, nonzero where a straight neighbour
+    is blocked."""
     runs = array("l", [i for run in _BLOCKED_RUN.finditer(mask) for i in run.span()])
     cells = int.from_bytes(mask.translate(_NONZERO), "little")
     walled = cells << 8 | cells >> 8 | cells << 8 * stride | cells >> 8 * stride
-    return runs, walled.to_bytes(len(mask) + stride, "little")
+    return mask, runs, walled.to_bytes(len(mask) + stride, "little")
 
 
-def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, height: int,
-                  straight: float) -> array:
+def _padded_sweep(tables: tuple[bytes, array, bytes], sources: list[int], width: int,
+                  height: int, straight: float) -> array:
     """8-connected multi-source Dijkstra on a flat mask with stride
-    `width + 2`, padded by one blocked cell on every side.
+    `width + 2`, padded by one blocked cell on every side, given as its
+    `_sweep_tables`.
 
-    `sources` are `(distance, padded index)` pairs on distinct unblocked
-    cells, at distances >= 0; steps cost `straight` and `straight *
-    sqrt(2)`, and no blocked cell is entered. Returns the unpadded
-    `width * height` array, +inf where blocked or unreached.
+    `sources` are padded indices of unblocked cells, all at distance 0;
+    steps cost `straight` and `straight * sqrt(2)`, and no blocked cell is
+    entered. Returns the unpadded `width * height` array, +inf where blocked
+    or unreached.
 
     With two step lengths a heap is not needed (Orlin, Madduri, Subramani &
     Williamson, J. Discrete Algorithms 2010): one FIFO per step length. The
-    sources wait in their own sorted queue, and each pop takes the least of
-    the three heads. Pops therefore come out in nondecreasing order for any
-    source distances, each FIFO receives `fl(d + step)` of nondecreasing `d`
-    and stays sorted, and a cell is final when it is first popped at its
+    sources relax their neighbours first, so each FIFO starts with one
+    value, and each pop takes the lesser head. Pops therefore come out in
+    nondecreasing order, each FIFO receives `fl(d + step)` of nondecreasing
+    `d` and stays sorted, and a cell is final when it is first popped at its
     value; a popped entry above its cell's value is stale and skipped.
 
     Each FIFO entry carries the step that reached its cell, and a popped
@@ -443,19 +460,18 @@ def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, 
 
     Blocked cells start at -1.0, below every distance, so a neighbour costs
     one compare and needs no bounds test. They are written from the mask's
-    cached runs (`_sweep_tables`), which also say which cells need the
-    forced checks, and are reset to +inf before the rows are copied out of
-    the padding.
+    runs, and `walled` says which cells need the forced checks; they are
+    reset to +inf before the rows are copied out of the padding.
     """
+    mask, runs, walled = tables
     stride = width + 2
     diagonal = straight * math.sqrt(2)
-    runs, walled = _sweep_tables(blocked, stride)
-    field = [INF] * len(blocked)
+    field = [INF] * len(mask)
     ends = iter(runs)
     for a, b in zip(ends, ends):
         field[a:b] = [-1.0] * (b - a)
-    for d, idx in sources:
-        field[idx] = d
+    for idx in sources:
+        field[idx] = 0.0
     # The steps that an arrival step leaves open: (u, u+p, u-p) after a
     # straight u; (a, b, a+b, b-a, a-b) after a diagonal a+b, the last two
     # forced.
@@ -465,83 +481,67 @@ def _padded_sweep(blocked: bytes, sources: list[tuple[float, int]], width: int, 
     for a in (1, -1):
         for b in (stride, -stride):
             opens[a + b] = (a, b, a + b, b - a, a - b)
-    seeds = sorted(sources, reverse=True)
-    limit = seeds[-1][0] if seeds else INF
     straights: deque = deque()
     diagonals: deque = deque()
     pop_s, pop_d = straights.popleft, diagonals.popleft
     push_s, push_d = straights.append, diagonals.append
-    everywhere = [(u, straight, push_s) for u in (1, -1, stride, -stride)] + [
-        (u, diagonal, push_d) for u in (stride + 1, stride - 1, 1 - stride, -1 - stride)]
-    while True:
+    for u, step, push in ([(u, straight, push_s) for u in (1, -1, stride, -stride)] + [
+            (u, diagonal, push_d) for u in (stride + 1, stride - 1, 1 - stride, -1 - stride)]):
+        for idx in sources:
+            n = idx + u
+            if step < field[n]:
+                field[n] = step
+                push((step, n, u))
+    while diagonals or straights:
         if diagonals and (not straights or diagonals[0][0] < straights[0][0]):
             d, idx, u = pop_d()
-            if d <= limit:
-                if d > field[idx]:
-                    continue
-                a, b, u, ba, ab = opens[u]
-                nd = d + straight
-                n = idx + a
-                if nd < field[n]:
-                    field[n] = nd
-                    push_s((nd, n, a))
-                n = idx + b
-                if nd < field[n]:
-                    field[n] = nd
-                    push_s((nd, n, b))
-                nd = d + diagonal
-                n = idx + u
-                if nd < field[n]:
-                    field[n] = nd
-                    push_d((nd, n, u))
-                if walled[idx]:
-                    if field[idx - a] < 0.0:
-                        n = idx + ba
-                        if nd < field[n]:
-                            field[n] = nd
-                            push_d((nd, n, ba))
-                    if field[idx - b] < 0.0:
-                        n = idx + ab
-                        if nd < field[n]:
-                            field[n] = nd
-                            push_d((nd, n, ab))
+            if d > field[idx]:
                 continue
-            diagonals.appendleft((d, idx, u))
-        elif straights:
-            d, idx, u = pop_s()
-            if d <= limit:
-                if d > field[idx]:
-                    continue
-                u, left, right = opens[u]
-                n = idx + u
-                nd = d + straight
-                if nd < field[n]:
-                    field[n] = nd
-                    push_s((nd, n, u))
-                nd = d + diagonal
-                n = idx + left
-                if nd < field[n]:
-                    field[n] = nd
-                    push_d((nd, n, left))
-                n = idx + right
-                if nd < field[n]:
-                    field[n] = nd
-                    push_d((nd, n, right))
-                continue
-            straights.appendleft((d, idx, u))
-        elif not seeds:
-            break
-        # The least sources come before both FIFO heads.
-        while seeds and seeds[-1][0] == limit:
-            idx = seeds.pop()[1]
-            if limit <= field[idx]:
-                for u, step, push in everywhere:
-                    nd = limit + step
-                    n = idx + u
+            a, b, u, ba, ab = opens[u]
+            nd = d + straight
+            n = idx + a
+            if nd < field[n]:
+                field[n] = nd
+                push_s((nd, n, a))
+            n = idx + b
+            if nd < field[n]:
+                field[n] = nd
+                push_s((nd, n, b))
+            nd = d + diagonal
+            n = idx + u
+            if nd < field[n]:
+                field[n] = nd
+                push_d((nd, n, u))
+            if walled[idx]:
+                if field[idx - a] < 0.0:
+                    n = idx + ba
                     if nd < field[n]:
                         field[n] = nd
-                        push((nd, n, u))
-        limit = seeds[-1][0] if seeds else INF
+                        push_d((nd, n, ba))
+                if field[idx - b] < 0.0:
+                    n = idx + ab
+                    if nd < field[n]:
+                        field[n] = nd
+                        push_d((nd, n, ab))
+        else:
+            d, idx, u = pop_s()
+            if d > field[idx]:
+                continue
+            u, left, right = opens[u]
+            n = idx + u
+            nd = d + straight
+            if nd < field[n]:
+                field[n] = nd
+                push_s((nd, n, u))
+            nd = d + diagonal
+            n = idx + left
+            if nd < field[n]:
+                field[n] = nd
+                push_d((nd, n, left))
+            n = idx + right
+            if nd < field[n]:
+                field[n] = nd
+                push_d((nd, n, right))
     ends = iter(runs)
     for a, b in zip(ends, ends):
         field[a:b] = [INF] * (b - a)
@@ -604,10 +604,7 @@ def _collision_maps(width: int, height: int, cells: bytes,
     pad = max((abs(v) for heading in sweeps for swept in heading
                for cell in swept for v in cell), default=0)
     stride = width + 2 * pad
-    padded = bytearray(b"\x01") * (stride * (height + 2 * pad))
-    for y in range(height):
-        row = (y + pad) * stride + pad
-        padded[row:row + width] = cells[y * width:(y + 1) * width]
+    padded = _padded(cells, width, height, pad)
     size, origin = len(padded), pad * stride + pad
     spans = {1: int.from_bytes(padded, "little")}
 

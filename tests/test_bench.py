@@ -323,6 +323,7 @@ def test_from_values_coerces_by_field_type():
     (dict(tick="inf"), r"^tick = inf: expected finite$"),
     (dict(w2="0.5"), r"^w2 = 0.5: expected >= 1$"),
     (dict(out="elsewhere"), r"^unknown manifest keys: \['out'\]$"),
+    (dict(n_heur="-1"), r"^n_heur = -1: expected >= 0$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))

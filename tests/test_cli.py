@@ -81,13 +81,15 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", *flags], None, message)
       for flags, message in ((["--time-limit", "nan"], "time_limit = nan: expected >= 0"),
                              (["--time-limit", "-1"], "time_limit = -1.0: expected >= 0"),
-                             (["--tick", "inf"], "tick = inf: expected finite"))],
+                             (["--tick", "inf"], "tick = inf: expected finite"),
+                             (["--n-heur", "-1"], "n_heur = -1: expected >= 0"))],
     (["solve-tiles", "--seed", "1", "--w1", "1e20", "--w2", "1", "--clock", "virtual",
       "--time-limit", "1"], None, "dw1 = 1.0: expected >= 32768, so each step lowers the weight"),
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start", "verify-bad-algo", "footprint-inf", "footprint-1e400", "footprint-nan",
         "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
-        "time-limit-nan", "time-limit-negative", "tick-inf", "w1-step-below-two-ulps"])
+        "time-limit-nan", "time-limit-negative", "tick-inf", "n-heur-negative",
+        "w1-step-below-two-ulps"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"

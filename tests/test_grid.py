@@ -195,7 +195,10 @@ def test_primitive_file_errors_name_the_line(tmp_path, body, match):
     ("\n3 1 1.0\n..\n", "line 3: map row 0 has width 2"),
     ("3 2 1.0\n...\n.x.\n", "line 3: unexpected map character 'x'"),
     ("\n\n4 4\n....\n", "line 3: bad map header"),
-], ids=["row-width", "bad-character", "header-after-blank-lines"])
+    *[(f"4 3 {res}\n", rf"^line 1: bad map header '4 3 {res}': resolution must be positive "
+                       "and finite$") for res in ("0", "-0.5", "nan", "inf")],
+], ids=["row-width", "bad-character", "header-after-blank-lines", "resolution-0",
+        "resolution-negative", "resolution-nan", "resolution-inf"])
 def test_map_parse_errors_name_the_line(text, match):
     with pytest.raises(ValueError, match=match):
         OccupancyGrid.parse(text)
@@ -483,31 +486,30 @@ def _sweep_masks(rng):
 
 def test_padded_sweep_equals_heap_reference_exactly():
     rng = random.Random(29)
-    far_sources = unreached_free = 0
+    several_sources = unreached_free = 0
     for name, width, height, mask in _sweep_masks(rng):
         free = [i for i, b in enumerate(mask) if not b]
         stride = width + 2
+        tables = grid_mod._sweep_tables(mask, stride)
         inner = [(y + 1) * stride + 1 + x for y in range(height) for x in range(width)]
         for straight in (1.0, 250.0, 1000.0 * 0.3, 0.7):
-            far = 3 * straight * math.sqrt(2)
             for _ in range(6):
-                cells = rng.sample(free, min(len(free), rng.randint(1, 5)))
-                sources = [(rng.choice((0.0, straight, straight * math.sqrt(2),
-                                        rng.uniform(0.0, far))), idx) for idx in cells]
-                field = grid_mod._padded_sweep(mask, list(sources), width, height, straight)
-                expected = reference_padded_sweep(mask, sources, width, height, straight)
+                sources = rng.sample(free, min(len(free), rng.randint(1, 5)))
+                field = grid_mod._padded_sweep(tables, sources, width, height, straight)
+                expected = reference_padded_sweep(mask, [(0.0, idx) for idx in sources],
+                                                  width, height, straight)
                 assert list(field) == expected, (name, width, height, straight, sources)
-                far_sources += max((d for d, _ in sources), default=0.0) > straight * math.sqrt(2)
+                several_sources += len(sources) > 1
                 unreached_free += sum(v == INF and not mask[idx]
                                       for v, idx in zip(expected, inner))
-    assert far_sources > 100 and unreached_free > 100
+    assert several_sources > 100 and unreached_free > 100
 
 
 def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
-    # The fields would stay exact if far sources were queued at a FIFO's
-    # tail: a cell popped early is queued again when its value drops. But
-    # cells would then pop out of order and relax their neighbours from
-    # values that are not final, doing the work twice.
+    # The fields would stay exact if cells were popped out of order: a cell
+    # popped early is queued again when its value drops. But it would then
+    # relax its neighbours from a value that is not final, doing the work
+    # twice.
     popped: list[float] = []
     pushed: list[tuple[float, int, int]] = []
 
@@ -523,27 +525,23 @@ def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
 
     monkeypatch.setattr(grid_mod, "deque", RecordingDeque)
     rng = random.Random(31)
-    far_sources = 0
     for name, width, height, mask in _sweep_masks(rng):
         stride = width + 2
+        tables = grid_mod._sweep_tables(mask, stride)
         free = [i for i, b in enumerate(mask) if not b]
         for straight in (1.0, 0.7):
             diagonal = straight * math.sqrt(2)
-            far = 3 * diagonal
             for _ in range(3):
-                cells = rng.sample(free, min(len(free), rng.randint(2, 5)))
-                sources = [(rng.choice((0.0, rng.uniform(0.0, far))), idx) for idx in cells]
+                sources = rng.sample(free, min(len(free), rng.randint(2, 5)))
                 popped.clear()
                 pushed.clear()
-                field = grid_mod._padded_sweep(mask, sources, width, height, straight)
+                field = grid_mod._padded_sweep(tables, sources, width, height, straight)
                 case = (name, width, height, straight, sources)
                 assert popped == sorted(popped), case
                 for d, n, u in pushed:
                     y, x = divmod(n - u, stride)
                     step = straight if u in (1, -1, stride, -stride) else diagonal
                     assert d == field[(y - 1) * width + x - 1] + step, case
-                far_sources += max(d for d, _ in sources) > diagonal
-    assert far_sources > 50
 
 
 def _count_clearance_calls(monkeypatch):

@@ -159,3 +159,18 @@ def test_mutants_are_rejected_cleanly(source, mutation, tmp_path, bench_manifest
             assert "invalid literal" not in message and "could not convert" not in message
         else:
             assert mutation != "non-number", f"accepted a non-number:\n{mutant}"
+
+
+@pytest.mark.parametrize("headings", [0, 2, 12, 32])
+def test_unsupported_heading_count_is_a_header_error(tmp_path, headings):
+    # A file the header lets through would fail only inside the domain
+    # build, naming neither the file's key nor its line.
+    path = tmp_path / f"h{headings}.mprim"
+    path.write_text(f"headings {headings} cost_scale 1000\n0 0 1000 2 0 0 0 1 0 0\n")
+    message = rf"line 1: headings {headings}: expected 4, 8 or 16$"
+    with pytest.raises(ValueError, match="^" + message):
+        load_primitives(path)
+    manifest = RunManifest(domain="grid", map=str(DATA / "maps" / "yard30.map"),
+                           start="3 15 0", goal="26 15", primitives=str(path))
+    with pytest.raises(ValueError, match=rf"^primitives = '{re.escape(str(path))}': {message}"):
+        manifest.build_domain()
