@@ -1,8 +1,9 @@
-"""Abstract search-domain interface, state interning, and the line-numbered
-parse error the input readers share."""
+"""Abstract search-domain interface, a wrapper that checks its contract,
+state interning, and the line-numbered parse error the input readers share."""
 from __future__ import annotations
 
 import abc
+import math
 from typing import Hashable, Sequence
 
 
@@ -70,3 +71,33 @@ class SearchDomain(abc.ABC):
     @abc.abstractmethod
     def heuristic(self, sid: int, i: int) -> float:
         """Value of heuristic i at a state, 0 <= i <= num_inadmissible."""
+
+
+def checked(domain: SearchDomain) -> SearchDomain:
+    """`domain`, raising ValueError on a call that breaks its contract: an
+    edge cost that is not a positive integer, or a heuristic value below 0,
+    NaN, +inf for the anchor, or nonzero at a goal. The message names the
+    edge or the state; every other attribute is the wrapped domain's."""
+    return _Checked(domain)
+
+
+@SearchDomain.register
+class _Checked:
+    def __init__(self, domain: SearchDomain) -> None:
+        self._domain = domain
+
+    def __getattr__(self, name: str):
+        return getattr(self._domain, name)
+
+    def successors(self, sid: int) -> Sequence[tuple[int, int]]:
+        succs = self._domain.successors(sid)
+        for s2, c in succs:
+            if not (isinstance(c, int) and c > 0):
+                raise ValueError(f"edge {sid} -> {s2} costs {c!r}, not a positive integer")
+        return succs
+
+    def heuristic(self, sid: int, i: int) -> float:
+        h = self._domain.heuristic(sid, i)
+        if not h >= 0 or (i == 0 and h == math.inf) or (h != 0 and self._domain.is_goal(sid)):
+            raise ValueError(f"heuristic {i} of state {sid} is {h!r}")
+        return h

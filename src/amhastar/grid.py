@@ -317,6 +317,10 @@ def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
             if len(vals) != 3 * k:
                 raise _line_error(n, f"primitive line expects {3 * k} pose fields, "
                                      f"found {len(vals)}")
+            for t in (ts, te, *vals[2::3]):
+                if not 0 <= t < num_headings:
+                    raise _line_error(n, f"primitive heading {t}: "
+                                         f"expected 0 to {num_headings - 1}")
             poses = tuple((vals[3 * i], vals[3 * i + 1], vals[3 * i + 2]) for i in range(k))
             try:
                 prims.append(MotionPrimitive(ts, te, cost, poses))
@@ -681,7 +685,7 @@ class LatticeDomain(SearchDomain):
         sweeps: list[list] = [[] for _ in range(num_headings)]
         moves: list[list] = [[] for _ in range(num_headings)]
         for p in self.primitives:
-            if not (0 <= p.theta_start < num_headings and 0 <= p.theta_end < num_headings):
+            if not all(0 <= pt < num_headings for _, _, pt in p.poses):
                 raise ValueError("primitive heading outside the configured fan")
             sweeps[p.theta_start].append(tuple(sorted(
                 {(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]})))

@@ -54,11 +54,9 @@ class PlannerConfig:
     clock seconds, >= 0 and +inf for none ('wall' monotonic seconds, or
     deterministic virtual seconds advancing by a finite `tick` per expansion
     and per publish).
-    A field out of range raises ValueError naming it. check_invariants
-    asserts the queue invariants and raises ValueError when the domain
-    breaks its contract (edge costs not positive integers, a heuristic < 0,
-    +inf in the anchor, or nonzero at a goal); a NaN heuristic raises
-    ValueError with or without it.
+    A field out of range raises ValueError naming it. A NaN heuristic
+    raises ValueError; `domain.checked` checks the rest of the domain
+    contract.
     """
 
     w1: float = 1.0
@@ -70,7 +68,6 @@ class PlannerConfig:
     clock: str = "wall"
     tick: float = 1e-4
     record_expansions: bool = False
-    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         # A step below two ulps of a weight above 1 can round back to that
@@ -206,8 +203,6 @@ class Planner:
         if self._domain.is_goal(start):
             self._goal_sid = start
             self._goal_g = 0
-        if cfg.check_invariants:
-            self._check_contract(start)
         for i in range(self._n + 1):
             k = self.key(start, i)
             if k != k:
@@ -235,12 +230,6 @@ class Planner:
             new_g = g_s + c
             if new_g < g.get(s2, INF):
                 self._relax(s2, sid, new_g)
-        if self._cfg.check_invariants:
-            self._assert_invariants()
-            for s2, c in self._domain.successors(sid):
-                if not (isinstance(c, int) and c > 0):
-                    raise ValueError(f"edge {sid} -> {s2} costs {c!r}, not a positive integer")
-                self._check_contract(s2)
 
     def improve_path(self) -> Outcome:
         """Expand until g(goal) is within w2 of the anchor min, or give up.
@@ -276,8 +265,6 @@ class Planner:
                     return Outcome.TIMED_OUT
                 if i >= 1 and self._open[i].min_key() <= w2 * open0.min_key():
                     sid = self._open[i].top()
-                    if self._cfg.check_invariants:
-                        self._assert_guard(sid, i)
                     self._closed_inad.add(sid)
                     self.expand(sid, i)
                 else:
@@ -405,28 +392,3 @@ class Planner:
         self._records.append(rec)
         if self._observer is not None:
             self._observer(rec)
-
-    def _check_contract(self, sid: int) -> None:
-        """Heuristics of a keyed state: >= 0, finite for the anchor, 0 at a goal."""
-        goal = self._domain.is_goal(sid)
-        for i in range(self._n + 1):
-            h = self._domain.heuristic(sid, i)
-            if not h >= 0 or (i == 0 and h == INF) or (goal and h != 0):
-                raise ValueError(f"heuristic {i} of state {sid} is {h!r}")
-
-    def _assert_guard(self, sid: int, i: int) -> None:
-        stored = self._open[i].key_of(sid)
-        assert stored <= self._w2 * self._open[0].min_key() + 1e-9
-        # Stored inadmissible keys may be stale-high when the insertion
-        # filter rejected an update, never stale-low.
-        assert self.key(sid, i) <= stored + 1e-9
-
-    def _assert_invariants(self) -> None:
-        m0 = set(self._open[0].members())
-        for i in range(1, self._n + 1):
-            mi = set(self._open[i].members())
-            assert mi <= m0, f"queue {i} not contained in anchor"
-            assert not (mi & self._closed_inad), f"inadmissible-closed state in queue {i}"
-        for q in self._open:
-            assert not (set(q.members()) & self._closed_anch), "anchor-closed state queued"
-

@@ -1,17 +1,21 @@
 """Shared test code: an explicit graph domain, small grids as explicit
-graphs, the reference field sweeps, closed forms and breadth-first
-distances, tile moves on boards, and a primitive-file writer."""
+graphs, the planner run in lockstep with its specification, the reference
+field sweeps, closed forms and breadth-first distances, tile moves on
+boards, and a primitive-file writer."""
 from __future__ import annotations
 
 import heapq
 import math
 import warnings
 from collections import deque
-from typing import Hashable, Mapping, Sequence
+from dataclasses import astuple, replace
+from typing import Hashable, Mapping, Optional, Sequence
 
 from amhastar.domain import SearchDomain, StateInterner
 from amhastar.grid import DIRS16, INF
+from amhastar.planner import Planner, PlannerConfig
 from amhastar.tiles import TileBoard, _blank_moves
+from spec_amha import Spec
 
 # The 8-connected grid steps, in the 16-heading fan's order.
 DIRS8 = DIRS16[::2]
@@ -102,6 +106,33 @@ def grid_domain(width, height, start, goal, walls=(), n_inadmissible=1, inad_sca
         scale = inad_scale + i
         tables.append({n: scale * (abs(n[0] - gx) + abs(n[1] - gy)) for n in edges})
     return ExplicitGraphDomain(edges, start, goal, heuristics=tables)
+
+
+def lockstep_difference(domain: SearchDomain, config: PlannerConfig) -> Optional[str]:
+    """Run `config` over `domain` on the virtual clock with `Planner` and
+    with the specification in `spec_amha`. None when both make the same
+    expansions in every iteration, end with the same records and outcome,
+    and leave the same keys in every queue (stale ones included), the same
+    g, anchor-closed set and INCONS; otherwise the first of those that
+    differs, with both values."""
+    config = replace(config, clock="virtual", record_expansions=True)
+    planner = Planner(domain, config)
+    records = [astuple(rec) for rec in planner.run()]
+    spec = Spec(domain, config.algo, config.w1, config.w2, config.dw1, config.dw2,
+                config.time_limit, config.tick).run()
+    for name, got, want in (
+        ("expansion_log", planner.expansion_log, spec.expansion_log),
+        ("records", records, spec.records),
+        ("outcome", planner.outcome.value, spec.outcome),
+        ("queues", [{sid: q.key_of(sid) for sid in q.members()} for q in planner.open_queues],
+         [{sid: key for key, _, sid in q} for q in spec.open]),
+        ("g", {sid: planner.g(sid) for sid in spec.g}, spec.g),
+        ("closed_anchor", planner.closed_anchor, spec.closed_anchor),
+        ("incons", planner.incons, spec.incons),
+    ):
+        if got != want:
+            return f"{name}: planner {got!r}, spec {want!r}"
+    return None
 
 
 def reference_clearance_field(grid):

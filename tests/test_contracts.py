@@ -2,7 +2,7 @@
 import pytest
 
 from amhastar import Planner, PlannerConfig, StateInterner
-from amhastar.domain import SearchDomain
+from amhastar.domain import SearchDomain, checked
 
 from helpers import ExplicitGraphDomain, grid_domain
 
@@ -93,9 +93,9 @@ def test_nan_heuristic_is_rejected_and_inf_inadmissible_solves(heuristics, solve
     dom = ExplicitGraphDomain({"a": [("b", 1), ("c", 5)], "b": [("c", 1)]}, "a", "c",
                               heuristics=heuristics)
     for algo in ("amha", "mha"):
-        for check in (False, True):
-            planner = Planner(dom, PlannerConfig(w1=2.0, w2=2.0, dw1=0.5, dw2=0.5,
-                                                 algo=algo, check_invariants=check))
+        for wrapped in (dom, checked(dom)):
+            planner = Planner(wrapped, PlannerConfig(w1=2.0, w2=2.0, dw1=0.5, dw2=0.5,
+                                                     algo=algo))
             if solves:
                 records = planner.run()
                 assert records and records[-1].cost <= 2 * records[-1].bound
@@ -148,6 +148,7 @@ class _Line(SearchDomain):
 ], ids=["zero-cost", "fractional-cost", "negative-cost", "negative-h0", "infinite-h0",
         "h0-at-goal", "h1-at-goal", "negative-h1", "start-is-goal"])
 def test_check_invariants_rejects_a_broken_domain_contract(costs, heuristics, match):
-    cfg = PlannerConfig(w1=2.0, w2=2.0, check_invariants=True)
+    # Named for the planner option `checked` replaced, so the case ids stay.
+    cfg = PlannerConfig(w1=2.0, w2=2.0)
     with pytest.raises(ValueError, match=match):
-        Planner(_Line(costs, heuristics), cfg).run()
+        Planner(checked(_Line(costs, heuristics)), cfg).run()

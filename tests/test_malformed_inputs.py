@@ -26,7 +26,8 @@ import pytest
 import amhastar
 from amhastar import bench
 from amhastar.bench import RunManifest, parse_kv, run_matrix
-from amhastar.grid import OccupancyGrid, load_primitives, load_scenarios
+from amhastar.grid import (LatticeDomain, MotionPrimitive, OccupancyGrid, load_primitives,
+                           load_scenarios)
 from amhastar.tiles import load_instances
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,3 +175,32 @@ def test_unsupported_heading_count_is_a_header_error(tmp_path, headings):
                            start="3 15 0", goal="26 15", primitives=str(path))
     with pytest.raises(ValueError, match=rf"^primitives = '{re.escape(str(path))}': {message}"):
         manifest.build_domain()
+
+
+@pytest.mark.parametrize("line, heading", [
+    ("0 5 1000 2 0 0 0 1 0 5", 5),
+    ("4 0 1000 2 0 0 4 1 0 0", 4),
+    ("0 0 1000 3 0 0 0 1 0 -1 2 0 0", -1),
+], ids=["theta-end", "theta-start", "pose"])
+def test_primitive_heading_outside_the_header_fan_is_a_line_error(tmp_path, line, heading):
+    path = tmp_path / "fan.mprim"
+    path.write_text(f"headings 4 cost_scale 1000\n{line}\n")
+    message = rf"line 2: primitive heading {heading}: expected 0 to 3$"
+    with pytest.raises(ValueError, match="^" + message):
+        load_primitives(path)
+    manifest = RunManifest(domain="grid", map=str(DATA / "maps" / "yard30.map"),
+                           start="3 15 0", goal="26 15", primitives=str(path))
+    with pytest.raises(ValueError, match=rf"^primitives = '{re.escape(str(path))}': {message}"):
+        manifest.build_domain()
+
+
+@pytest.mark.parametrize("poses", [
+    ((0, 0, 0), (1, 0, 5)),
+    ((0, 0, 0), (1, 0, -1), (2, 0, 0)),
+    ((0, 0, 0), (1, 0, 7), (2, 0, 0)),
+], ids=["theta-end", "pose-negative", "pose-high"])
+def test_lattice_domain_rejects_primitive_objects_outside_its_fan(poses):
+    grid = OccupancyGrid.load(DATA / "maps" / "yard30.map")
+    prims = [MotionPrimitive(0, poses[-1][2], 1000, poses)]
+    with pytest.raises(ValueError, match="^primitive heading outside the configured fan$"):
+        LatticeDomain(grid, (3, 15, 0), (26, 15), primitives=prims, num_headings=4)

