@@ -20,12 +20,13 @@ test: every footprint mask holds its own cell, so the end cell is swept.
 The heuristic fields are `array('d')` indexed by `sid // num_headings`.
 
 What depends only on the map is cached per map content (width, height,
-resolution and cells, not the grid object): the clearance field; per
-blocking radius, the blocked-cell mask, padded by one blocked cell on
-every side; and, per set of swept cells, the collision maps. Each goal's
-Dijkstra fields are swept on that padded mask, so a neighbour needs no
-bounds test; the clearance field is swept on the map framed by its
-out-of-bounds ring as obstacle cells, so every sweep source sits at
+resolution and cells, not the grid object): per blocking radius, the
+blocked-cell mask, padded by one blocked cell on every side; and, per set
+of swept cells, the collision maps. A mask is the obstacles dilated by a
+disc with the collision maps' shift-or, so no build sweeps a clearance
+field. Each goal's Dijkstra fields are swept on that padded mask, so a
+neighbour needs no bounds test; `clearance_field` sweeps the map framed by
+its out-of-bounds ring as obstacle cells, so every sweep source sits at
 distance 0. The grid has two step lengths, straight and diagonal, so the
 sweep (`_padded_sweep`) keeps one FIFO per step length instead of a binary
 heap, and cells pop in nondecreasing order. Each entry carries the step
@@ -368,20 +369,37 @@ def clearance_field(grid: OccupancyGrid) -> array:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _map_clearance(width: int, height: int, resolution: float, cells: bytes) -> array:
-    """`clearance_field` of the map with this content, computed once per map."""
-    return clearance_field(OccupancyGrid(width, height, resolution, bytearray(cells)))
-
-
 @functools.lru_cache(maxsize=12)
 def _blocked_mask(width: int, height: int, resolution: float, cells: bytes,
                   radius: float) -> tuple[bytes, array, bytes]:
-    """The `_sweep_tables` of the cells with clearance <= radius (obstacles
-    read 0.0), padded by one blocked cell on every side."""
-    clearance = _map_clearance(width, height, resolution, cells)
-    blocked = _padded(bytes(map(radius.__ge__, clearance)), width, height, 1)
-    return _sweep_tables(blocked, width + 2)
+    """The `_sweep_tables` of the cells whose `clearance_field` value is
+    <= radius (obstacles read 0.0), padded by one blocked cell on every side.
+
+    They are the obstacles, out-of-bounds cells included, dilated by a disc:
+    the offsets whose value in one sweep from the centre of an empty probe
+    is <= radius. `_collision_maps`' shift-or dilates, called around its
+    cache so that masks evict no domain's collision maps.
+
+    The dilation is exact. The clearance sweep enters no blocked cell, so by
+    monotone rounding a cell's clearance is its least single-source value
+    from an obstacle, and that value depends only on the offset: clamping a
+    path into the box its ends span never raises its sum. Nor does clamping
+    its end toward its start, so an out-of-bounds cell blocks nothing that
+    the ring cell between it and the map does not.
+
+    The probe reaches radius / resolution straight steps, plus one for
+    rounding, but at most `(min(width, height) + 1) // 2 + 1`: every map
+    cell is at most `(min(width, height) + 1) // 2` straight steps from the
+    out-of-bounds ring, so wider offsets block nothing new.
+    """
+    half = int(min((min(width, height) + 1) // 2 + 1, radius / resolution + 1))
+    side = 2 * half + 1
+    tables = _sweep_tables(_padded(bytes(side * side), side, side, 1), side + 2)
+    values = _padded_sweep(tables, [(half + 1) * (side + 3)], side, side, resolution)
+    kernel = tuple((i % side - half, i // side - half)
+                   for i in compress(range(side * side), map(radius.__ge__, values)))
+    blocked = _collision_maps.__wrapped__(width, height, cells, ((kernel,),))[0][0]
+    return _sweep_tables(_padded(blocked, width, height, 1), width + 2)
 
 
 def dijkstra_field(

@@ -78,11 +78,6 @@ class AddressableHeap:
         """Remove an id if present; no-op otherwise."""
         self._live.pop(sid, None)
 
-    def pop(self) -> int:
-        sid = self.top()
-        self.discard(sid)
-        return sid
-
     def rebuild(self, entries) -> None:
         """Replace all contents with (sid, key, g) triples and heapify."""
         self._live = {sid: (key, -g, sid) for (sid, key, g) in entries}

@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import re
+import time
 import warnings
 from array import array
 from collections import deque
@@ -12,6 +13,7 @@ import pytest
 from amhastar import Planner, PlannerConfig
 from amhastar import grid as grid_mod
 from amhastar.grid import (
+    DEFAULT_FOOTPRINT,
     DIRS16,
     LatticeDomain,
     MotionPrimitive,
@@ -316,6 +318,14 @@ def test_blocked_goal_warns_and_returns_all_inf():
     assert all(v == INF for v in field)
 
 
+@pytest.mark.parametrize("radius", [INF, 1e300])
+def test_field_blocked_at_an_unbounded_radius_warns_and_is_all_inf(radius):
+    g = OccupancyGrid.load(shipped("maps/yard30.map"))
+    with pytest.warns(UserWarning, match="blocked at radius"):
+        field = dijkstra_field(g, (26, 15), radius)
+    assert all(v == INF for v in field)
+
+
 @pytest.mark.parametrize("radius", [-1.0, -1, -0.01, math.nan])
 def test_field_rejects_a_negative_or_nan_block_radius(radius):
     # Such a radius would leave obstacle cells (clearance 0.0) unblocked.
@@ -427,6 +437,10 @@ def test_field_equals_reference_sweep_exactly():
 
 
 def test_clearance_equals_reference_sweep_exactly():
+    # The blocked masks are the reference clearance thresholded at each radius
+    # (octile steps, the footprint's radii, and radii past every map cell).
+    radii = (0.0, 0.25, math.sqrt(2) / 4, 0.5, DEFAULT_FOOTPRINT.inscribed_radius,
+             DEFAULT_FOOTPRINT.circumscribed_radius, 1.0, 1.7, 1e300, INF)
     rng = random.Random(3)
     maps = [OccupancyGrid.load(p) for p in sorted(shipped("maps").glob("*.map"))]
     assert len(maps) == 3
@@ -441,8 +455,36 @@ def test_clearance_equals_reference_sweep_exactly():
                             g.set_obstacle(x, y)
                 grids.append(g)
         for g in grids:
-            assert list(clearance_field(g)) == reference_clearance_field(g), (
-                g.width, g.height, res)
+            w, h = g.width, g.height
+            clearance = reference_clearance_field(g)
+            assert list(clearance_field(g)) == clearance, (w, h, res)
+            for r in radii:
+                want = bytearray(b"\x01") * ((w + 2) * (h + 2))
+                for i, c in enumerate(clearance):
+                    want[(i // w + 1) * (w + 2) + i % w + 1] = c <= r
+                mask = grid_mod._blocked_mask(w, h, res, bytes(g.cells), r)[0]
+                assert bytes(map(bool, mask)) == want, (w, h, res, r)
+
+
+def test_masks_of_a_large_map_take_under_half_a_clearance_sweep():
+    # A dilation is a few whole-map shift-ors; the clearance sweep visits
+    # every cell in Python. Relative, so it holds on any host.
+    size = 1024
+    obstacle = b"\x01" * 13 + bytes(243)  # about 5% of random bytes
+    g = OccupancyGrid(size, size, 0.25,
+                      bytearray(random.Random(5).randbytes(size * size).translate(obstacle)))
+    cells = bytes(g.cells)
+    radii = (0.0, DEFAULT_FOOTPRINT.inscribed_radius, DEFAULT_FOOTPRINT.circumscribed_radius)
+    grid_mod._blocked_mask.cache_clear()
+    start = time.perf_counter()
+    for r in radii:
+        grid_mod._blocked_mask(size, size, 0.25, cells, r)
+    masks_s = time.perf_counter() - start
+    grid_mod._blocked_mask.cache_clear()
+    start = time.perf_counter()
+    clearance_field(g)
+    sweep_s = time.perf_counter() - start
+    assert masks_s < sweep_s / 2, (masks_s, sweep_s)
 
 
 def _sweep_masks(rng):
@@ -545,7 +587,6 @@ def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
 
 
 def _count_clearance_calls(monkeypatch):
-    grid_mod._map_clearance.cache_clear()
     grid_mod._blocked_mask.cache_clear()
     grid_mod._collision_maps.cache_clear()
     calls = []
@@ -573,19 +614,21 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     calls = _count_clearance_calls(monkeypatch)
     path = shipped("maps/open20.map")
     dom1 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
+    # The masks go around the collision maps' cache, so they evict none.
+    assert grid_mod._collision_maps.cache_info().currsize == 1
     dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
-    assert len(calls) == 1
-    assert grid_mod._blocked_mask.cache_info().hits == 3  # dom2 reuses dom1's masks
+    masks = grid_mod._blocked_mask.cache_info()
+    assert (masks.misses, masks.hits) == (3, 3)  # dom2 reuses dom1's masks
     assert all(m2 is m1 for m2, m1 in zip(_collision_bytes(dom2), _collision_bytes(dom1)))
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
     changed.set_obstacle(10, 17)
     dom3 = LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
-    assert len(calls) == 2
+    assert grid_mod._blocked_mask.cache_info().misses == 6
+    assert calls == []  # no build sweeps a clearance field
     cell = 17 * changed.width + 10
     assert all(m[cell] == 0b1111 for m in _collision_bytes(dom3))
     assert any(m[cell] != 0b1111 for m in _collision_bytes(dom1))
-    assert grid_mod._map_clearance.cache_info().maxsize is not None
     assert grid_mod._blocked_mask.cache_info().maxsize is not None
     assert grid_mod._collision_maps.cache_info().maxsize is not None
 
@@ -598,10 +641,10 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     assert all(f[cell] < INF for f in before.fields)
     g.set_obstacle(9, 8)
     after = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
-    assert len(calls) == 2
+    assert grid_mod._blocked_mask.cache_info().misses == 6
+    assert calls == []
     assert all(f[cell] == INF for f in after.fields)
-    clearance = clearance_field(g)
-    assert clearance[cell] == 0.0
+    clearance = reference_clearance_field(g)
     # Every primitive sweeps its start cell, so all four bits are set there.
     for m_after, m_before in zip(_collision_bytes(after), _collision_bytes(before)):
         assert m_after[cell] == 0b1111 != m_before[cell]

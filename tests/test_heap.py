@@ -7,6 +7,14 @@ import amhastar.heap as heap_mod
 from amhastar.heap import AddressableHeap
 
 
+def take(h):
+    """Remove and return the top id, as the planner expands it: `top`, then
+    `discard`."""
+    sid = h.top()
+    h.discard(sid)
+    return sid
+
+
 def test_empty_heap_min_is_infinite():
     h = AddressableHeap()
     assert h.min_key() == math.inf
@@ -20,9 +28,9 @@ def test_orders_by_key():
     h.insert_or_update(3, 4.0, 0)
     assert h.top() == 2
     assert h.min_key() == 3.0
-    assert h.pop() == 2
-    assert h.pop() == 3
-    assert h.pop() == 1
+    assert take(h) == 2
+    assert take(h) == 3
+    assert take(h) == 1
 
 
 def test_tie_break_prefers_larger_g_then_smaller_id():
@@ -30,9 +38,9 @@ def test_tie_break_prefers_larger_g_then_smaller_id():
     h.insert_or_update(7, 10.0, 2)
     h.insert_or_update(3, 10.0, 5)
     h.insert_or_update(9, 10.0, 5)
-    assert h.pop() == 3  # deepest g wins, then the smaller id
-    assert h.pop() == 9
-    assert h.pop() == 7
+    assert take(h) == 3  # deepest g wins, then the smaller id
+    assert take(h) == 9
+    assert take(h) == 7
 
 
 def test_decrease_key_moves_item_up():
@@ -49,9 +57,9 @@ def test_increase_key_moves_item_down():
     for sid, key in [(1, 10.0), (2, 20.0), (3, 30.0)]:
         h.insert_or_update(sid, key, 0)
     h.insert_or_update(1, 99.0, 0)
-    assert h.pop() == 2
-    assert h.pop() == 3
-    assert h.pop() == 1
+    assert take(h) == 2
+    assert take(h) == 3
+    assert take(h) == 1
 
 
 def test_discard_arbitrary_member():
@@ -63,7 +71,7 @@ def test_discard_arbitrary_member():
     h.discard(99)  # absent: no-op
     assert 4 not in h
     assert sorted(h.members()) == [1, 2, 3, 5, 6, 7, 8, 9]
-    assert h.pop() == 1
+    assert take(h) == 1
 
 
 def test_rebuild_replaces_contents():
@@ -71,7 +79,7 @@ def test_rebuild_replaces_contents():
     h.insert_or_update(1, 1.0, 0)
     h.rebuild([(5, 2.0, 1), (6, 1.0, 1), (7, 3.0, 1)])
     assert 1 not in h
-    assert [h.pop() for _ in range(3)] == [6, 5, 7]
+    assert [take(h) for _ in range(3)] == [6, 5, 7]
 
 
 def test_random_operations_match_reference():
@@ -106,7 +114,7 @@ def test_random_operations_match_reference():
             best = min(ref.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
             assert h.top() == best[0]
             assert h.min_key() == best[1][0]
-            assert h.pop() == best[0]
+            assert take(h) == best[0]
             del ref[best[0]]
         check()
     # Thousands of updates over a few ids, each followed by a pop or a
@@ -122,13 +130,13 @@ def test_random_operations_match_reference():
             del ref[sid]
         elif step % 11 == 0:
             best = min(ref.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
-            assert h.pop() == best[0]
+            assert take(h) == best[0]
             del ref[best[0]]
         check()
     while ref:
         best = min(ref.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
         assert h.min_key() == best[1][0]
-        assert h.pop() == best[0]
+        assert take(h) == best[0]
         del ref[best[0]]
         check()
     assert h.min_key() == math.inf

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 from decimal import Decimal
 
+import pytest
+
 from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.planner import _scheduled_weight
 from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
@@ -288,9 +290,10 @@ def test_invariants_hold_during_search():
     assert lockstep_difference(dom, cfg) is None
 
 
-def test_expansion_log_double_expansions_are_inadmissible_then_anchor():
-    board = random_solvable_board(3, 3, seed=77)
-    dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=77)
+@pytest.mark.parametrize("seed", [77, 21])
+def test_expansion_log_double_expansions_are_inadmissible_then_anchor(seed):
+    board = random_solvable_board(3, 3, seed=seed)
+    dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
     planner = Planner(dom, PlannerConfig(w1=4.0, w2=3.0,
                                          record_expansions=True))
     planner.run()
@@ -304,5 +307,5 @@ def test_expansion_log_double_expansions_are_inadmissible_then_anchor():
             if len(qis) == 2:
                 doubles += 1
                 assert qis[0] >= 1 and qis[1] == 0
-    # At least some state should genuinely be expanded twice somewhere.
-    assert doubles >= 0
+    # Some state is expanded twice, so the order check above ran.
+    assert doubles >= 1
