@@ -29,7 +29,8 @@ from .grid import (DEFAULT_FOOTPRINT, LatticeDomain, OccupancyGrid, RobotFootpri
                    load_scenarios)
 from .oracle import ORACLE_CAP, tile_goal_distances, uniform_cost_optimal
 from .planner import MODES, Planner, PlannerConfig, SolutionRecord
-from .tiles import TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line
+from .tiles import (TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line,
+                    weight_triples)
 from .verify import Verdict, verify_run
 
 SUMMARY_COLUMNS = (
@@ -111,12 +112,11 @@ class RunManifest:
             # exact run even if the drawing scheme ever changes.
             recorded = None
             if self.weights:
-                recorded = [
-                    tuple(float(x) for x in triple.split(":"))
-                    for triple in self.weights.split(",")
-                ]
+                recorded = _parse_field("weights", self.weights, lambda text: weight_triples(
+                    triple.split(":") for triple in text.split(",")))
                 if len(recorded) != self.n_heur:
-                    raise ValueError("manifest weights do not match n_heur")
+                    raise ValueError(f"weights = {self.weights!r}: expected one triple per "
+                                     f"heuristic (n_heur = {self.n_heur}), got {len(recorded)}")
             dom = TilePuzzleDomain(
                 board,
                 num_inadmissible=self.n_heur,

@@ -459,7 +459,11 @@ def _padded_sweep(tables: tuple[bytes, array, bytes], sources: list[int], width:
     value, and each pop takes the lesser head. Pops therefore come out in
     nondecreasing order, each FIFO receives `fl(d + step)` of nondecreasing
     `d` and stays sorted, and a cell is final when it is first popped at its
-    value; a popped entry above its cell's value is stale and skipped.
+    value. A straight entry is never stale: pushed at `fl(d + straight)`, it
+    can be undercut only by a later offer, which comes from a pop at `d' >=
+    d` and so is at least `fl(d + straight)`; rounding is monotone, and
+    `diagonal > straight`. A diagonal entry can be undercut by a later
+    straight offer; popped above its cell's value, it is skipped.
 
     Each FIFO entry carries the step that reached its cell, and a popped
     cell relaxes only the neighbours that this step leaves open, the
@@ -547,8 +551,6 @@ def _padded_sweep(tables: tuple[bytes, array, bytes], sources: list[int], width:
                         push_d((nd, n, ab))
         else:
             d, idx, u = pop_s()
-            if d > field[idx]:
-                continue
             u, left, right = opens[u]
             n = idx + u
             nd = d + straight

@@ -147,40 +147,16 @@ class Planner:
         self._g: dict[int, float] = {}
         self._parent: dict[int, int] = {}
         # Queue 0 is the anchor.
-        self._open = [AddressableHeap() for _ in range(self._n + 1)]
-        self._closed_anch: set[int] = set()
+        self.open_queues = [AddressableHeap() for _ in range(self._n + 1)]
+        self.closed_anchor: set[int] = set()
         self._closed_inad: set[int] = set()
-        self._incons: set[int] = set()
-        self._records: list[SolutionRecord] = []
+        self.incons: set[int] = set()
+        self.records: list[SolutionRecord] = []
         self.expansion_log: list[list[tuple[int, int]]] = []
         self.expansions_total = 0
         self.outcome: Optional[Outcome] = None
 
-    # -- read-only views ---------------------------------------------------
-
-    @property
-    def w1(self) -> float:
-        return self._w1
-
-    @property
-    def w2(self) -> float:
-        return self._w2
-
-    @property
-    def records(self) -> list[SolutionRecord]:
-        return self._records
-
-    @property
-    def open_queues(self) -> list[AddressableHeap]:
-        return self._open
-
-    @property
-    def closed_anchor(self) -> set[int]:
-        return self._closed_anch
-
-    @property
-    def incons(self) -> set[int]:
-        return self._incons
+    # -- reached-state lookups ---------------------------------------------
 
     def g(self, sid: int) -> float:
         return self._g.get(sid, INF)
@@ -207,7 +183,7 @@ class Planner:
             k = self.key(start, i)
             if k != k:
                 raise _nan_key(start, i)
-            self._open[i].insert_or_update(start, k, 0)
+            self.open_queues[i].insert_or_update(start, k, 0)
         self._t0 = time.perf_counter()
 
     def key(self, sid: int, i: int) -> float:
@@ -219,7 +195,7 @@ class Planner:
 
     def expand(self, sid: int, qi: int) -> None:
         """Pop a state from every queue and relax its outgoing edges."""
-        for q in self._open:
+        for q in self.open_queues:
             q.discard(sid)
         self.expansions_total += 1
         if self._cfg.record_expansions:
@@ -240,11 +216,11 @@ class Planner:
         anchor holds states (w2 times a key overflowed to +inf at a huge
         finite weight): then the anchor also takes an empty queue's turn.
 
-        Expects the closed sets and INCONS cleared by the caller and the
+        Expects the closed sets cleared by the caller, INCONS empty, and the
         queues carrying either the start state or reconciled content.
         """
         w2 = self._w2
-        open0 = self._open[0]
+        open0 = self.open_queues[0]
         budget = self._cfg.time_limit
         now = self._clock()
         if self._cfg.record_expansions:
@@ -259,35 +235,33 @@ class Planner:
                         return Outcome.GOAL_BOUND_PROVEN
                     if not open0:
                         return Outcome.EXHAUSTED
-                    if not self._open[i]:
+                    if not self.open_queues[i]:
                         i = 0
                 if now() > budget:
                     return Outcome.TIMED_OUT
-                if i >= 1 and self._open[i].min_key() <= w2 * open0.min_key():
-                    sid = self._open[i].top()
+                if i >= 1 and self.open_queues[i].min_key() <= w2 * open0.min_key():
+                    sid = self.open_queues[i].top()
                     self._closed_inad.add(sid)
                     self.expand(sid, i)
                 else:
                     sid = open0.top()
-                    self._closed_anch.add(sid)
+                    self.closed_anchor.add(sid)
                     self.expand(sid, 0)
 
     def reconcile_queues(self) -> None:
         """Fold INCONS into the anchor, mirror it everywhere, re-key at new w1."""
-        members = sorted(set(self._open[0].members()) | self._incons)
-        self._incons.clear()
+        members = sorted(set(self.open_queues[0].members()) | self.incons)
+        self.incons.clear()
         g, w1, h = self._g, self._w1, self._domain.heuristic
         for i in range(self._n + 1):
             entries = [(sid, g[sid] + w1 * h(sid, i), g[sid]) for sid in members]
             for sid, k, _ in entries:
                 if k != k:
                     raise _nan_key(sid, i)
-            self._open[i].rebuild(entries)
+            self.open_queues[i].rebuild(entries)
 
-    def extract_path(self, sid: Optional[int] = None) -> list[int]:
+    def extract_path(self, sid: int) -> list[int]:
         """Back-pointer walk from a reached state to the start, reversed."""
-        if sid is None:
-            sid = self._goal_sid
         if sid < 0 or self.g(sid) == INF:
             raise ValueError("extract_path requires a reached state")
         chain = []
@@ -308,9 +282,8 @@ class Planner:
         w1_start, w2_start = self._w1, self._w2
         k = 0
         while True:
-            self._closed_anch.clear()
+            self.closed_anchor.clear()
             self._closed_inad.clear()
-            self._incons.clear()
             self.outcome = self.improve_path()
             if self.outcome is not Outcome.GOAL_BOUND_PROVEN:
                 break
@@ -321,7 +294,7 @@ class Planner:
             self._w1 = _scheduled_weight(w1_start, cfg.dw1, k)
             self._w2 = _scheduled_weight(w2_start, cfg.dw2, k)
             self.reconcile_queues()
-        return self._records
+        return self.records
 
     # -- internals -----------------------------------------------------------
 
@@ -336,7 +309,7 @@ class Planner:
         """
         if self._cfg.clock == "virtual":
             tick = self._cfg.tick
-            published = len(self._records) + publishing
+            published = len(self.records) + publishing
             return lambda: (self.expansions_total + published) * tick
         t0 = self._t0
         return lambda: time.perf_counter() - t0
@@ -348,40 +321,44 @@ class Planner:
         if new_g < self._goal_g and self._domain.is_goal(sid):
             self._goal_g = new_g
             self._goal_sid = sid
-        if sid in self._closed_anch:
+        if sid in self.closed_anchor:
             if not self._reopen:
-                self._incons.add(sid)
+                self.incons.add(sid)
                 return
-            self._closed_anch.discard(sid)
+            self.closed_anchor.discard(sid)
         k0 = new_g + self._w1 * self._domain.heuristic(sid, 0)
         if k0 != k0:
             raise _nan_key(sid, 0)
-        self._open[0].insert_or_update(sid, k0, new_g)
+        self.open_queues[0].insert_or_update(sid, k0, new_g)
         if sid not in self._closed_inad:
             w2k0 = self._w2 * k0
             for j in range(1, self._n + 1):
                 kj = new_g + self._w1 * self._domain.heuristic(sid, j)
                 if kj <= w2k0:
-                    self._open[j].insert_or_update(sid, kj, new_g)
+                    self.open_queues[j].insert_or_update(sid, kj, new_g)
                 elif kj != kj:
                     raise _nan_key(sid, j)
 
-    def _tighten_goal_chain(self) -> None:
-        """Re-relax the goal's parent chain so g(goal) equals its edge sum.
+    def _tighten_goal_chain(self) -> list[int]:
+        """Re-relax the goal's parent chain so g(goal) equals its edge sum,
+        and return the chain.
 
         Stale links appear when a chain node's g improved after it relaxed
         its child; replaying the chain edges start-to-goal through _relax
         restores exact prefix sums without touching any other invariant.
+        The chain stands: each replayed edge keeps its parent, and no state
+        before the goal is a goal, since g rises along the chain (edge costs
+        are positive) and g(goal) is the least g of any reached goal.
         """
         chain = self.extract_path(self._goal_sid)
         for a, b in zip(chain, chain[1:]):
             c = min(cost for s2, cost in self._domain.successors(a) if s2 == b)
             if self._g[a] + c < self._g[b]:
                 self._relax(b, a, self._g[a] + c)
+        return chain
 
     def _publish(self) -> None:
-        self._tighten_goal_chain()
-        path = tuple(self.extract_path(self._goal_sid))
+        path = tuple(self._tighten_goal_chain())
         rec = SolutionRecord(
             path=path,
             cost=int(self._g[self._goal_sid]),
@@ -389,6 +366,6 @@ class Planner:
             elapsed=self._clock(publishing=1)(),
             expansions_total=self.expansions_total,
         )
-        self._records.append(rec)
+        self.records.append(rec)
         if self._observer is not None:
             self._observer(rec)

@@ -18,6 +18,7 @@ incremental values are tested against.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -247,12 +248,23 @@ def draw_weights(n: int, seed: int) -> tuple[tuple[float, float, float], ...]:
                  for _ in range(n))
 
 
+def weight_triples(weights) -> tuple[tuple[float, float, float], ...]:
+    """The weight triples as floats. Each must be three finite numbers >= 0,
+    so that every inadmissible heuristic is >= 0, and 0 at the goal."""
+    triples = tuple(tuple(float(x) for x in t) for t in weights)
+    for t in triples:
+        if len(t) != 3 or not all(0 <= x < math.inf for x in t):
+            raise ValueError(f"weight triple {t}: expected three finite numbers >= 0")
+    return triples
+
+
 class TilePuzzleDomain(SearchDomain):
     """Interned tile-puzzle search domain.
 
     Heuristic 0 is Manhattan + linear conflict. Heuristics 1..N are weighted
-    sums of (misplaced, manhattan, conflict); the weights are drawn once at
-    construction from the given seed and recorded on the instance.
+    sums of (misplaced, manhattan, conflict); the weights are given, one
+    triple of finite numbers >= 0 per heuristic, or drawn once at
+    construction from the given seed, and recorded on the instance.
 
     Every state is scored once, when it is first interned: the start and the
     goal from scratch with the three reference functions, every other state
@@ -277,7 +289,7 @@ class TilePuzzleDomain(SearchDomain):
         if weights is not None:
             if len(weights) != num_inadmissible:
                 raise ValueError("need one weight triple per inadmissible heuristic")
-            self.weights = tuple(tuple(float(x) for x in t) for t in weights)
+            self.weights = weight_triples(weights)
         else:
             self.weights = draw_weights(num_inadmissible, weight_seed)
         self._interner = StateInterner()

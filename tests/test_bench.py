@@ -324,6 +324,7 @@ def test_from_values_coerces_by_field_type():
     (dict(w2="0.5"), r"^w2 = 0.5: expected >= 1$"),
     (dict(out="elsewhere"), r"^unknown manifest keys: \['out'\]$"),
     (dict(n_heur="-1"), r"^n_heur = -1: expected >= 0$"),
+    (dict(domain="grid"), r"^bench config needs map = <file> for domain grid$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))
@@ -337,12 +338,21 @@ def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     ("board", "3 3 1 2 x 4 5 6 7 8 0", "non-integer field"),
     ("start", "3 x 0", "expected 3 integers"),
     ("goal", "26", "expected 2 or 3 integers"),
+    # Each weight triple must be three finite numbers >= 0, one per heuristic.
+    ("weights", "1:2", r"weight triple \(1.0, 2.0\): expected three finite numbers >= 0$"),
+    ("weights", "1:2:3:4", r"weight triple \(1.0, 2.0, 3.0, 4.0\): expected three finite"),
+    ("weights", "a:b:c", "could not convert string to float: 'a'$"),
+    ("weights", "nan:1:1", r"weight triple \(nan, 1.0, 1.0\): expected three finite"),
+    ("weights", "-1:2:3", r"weight triple \(-1.0, 2.0, 3.0\): expected three finite"),
+    ("weights", "inf:0:0", r"weight triple \(inf, 0.0, 0.0\): expected three finite"),
+    ("weights", "1:2:3,4:5:6", r"expected one triple per heuristic \(n_heur = 1\), got 2$"),
 ])
 def test_build_domain_names_a_bad_text_field(key, value, message):
     yard = Path(amhastar.__file__).parent / "data" / "maps" / "yard30.map"
     fields = dict(board=dict(domain="tiles"),
                   start=dict(domain="grid", map=str(yard), goal="26 15"),
-                  goal=dict(domain="grid", map=str(yard), start="3 15 0"))[key]
+                  goal=dict(domain="grid", map=str(yard), start="3 15 0"),
+                  weights=dict(domain="tiles", board="3 3 1 2 0 3 4 5 6 7 8", n_heur=1))[key]
     manifest = RunManifest(**fields, **{key: value})
     with pytest.raises(ValueError, match=rf"^{key} = '{value}': {message}"):
         manifest.build_domain()

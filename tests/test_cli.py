@@ -7,7 +7,7 @@ import pytest
 import amhastar
 from amhastar.bench import RunManifest
 from amhastar.cli import main
-from amhastar.tiles import format_instance_line, random_solvable_board
+from amhastar.tiles import format_instance_line, goal_board, random_solvable_board
 
 MAPS = Path(amhastar.__file__).parent / "data" / "maps"
 YARD = ["solve-grid", "--map", str(MAPS / "yard30.map")]
@@ -69,6 +69,7 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
     (["verify"], dict(algo="amah"),
      "algo = 'amah': expected one of amha, mha, ara, wastar, astar"),
+    (["verify"], dict(domain="foo"), "domain = 'foo': expected tiles or grid"),
     *[(YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", f], None,
        f"footprint = '{f}': expected rect:LxW, two finite positive lengths")
       for f in ("rect:infx1", "rect:1e400x1", "rect:nanx1", "rect:1x2x3")],
@@ -86,7 +87,7 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["solve-tiles", "--seed", "1", "--w1", "1e20", "--w2", "1", "--clock", "virtual",
       "--time-limit", "1"], None, "dw1 = 1.0: expected >= 32768, so each step lowers the weight"),
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
-        "verify-bad-start", "verify-bad-algo", "footprint-inf", "footprint-1e400", "footprint-nan",
+        "verify-bad-start", "verify-bad-algo", "verify-unknown-domain", "footprint-inf", "footprint-1e400", "footprint-nan",
         "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
         "time-limit-nan", "time-limit-negative", "tick-inf", "n-heur-negative",
         "w1-step-below-two-ulps"])
@@ -102,6 +103,30 @@ def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and message in err, err
+
+
+def test_print_path_prints_the_boards_from_start_to_goal(capsys):
+    board = format_instance_line(random_solvable_board(3, 3, seed=6))
+    assert main(["solve-tiles", "--board", board, "--clock", "virtual", "--print-path"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = lines.index(board)
+    final, boards = lines[first - 1], lines[first:]
+    assert boards[-1] == format_instance_line(goal_board(3, 3))
+    assert len(boards) == int(final.split("cost=")[1].split()[0]) + 1
+    for a, b in zip(boards, boards[1:]):
+        a, b = a.split()[2:], b.split()[2:]
+        moved = [i for i in range(9) if a[i] != b[i]]
+        assert len(moved) == 2 and "0" in (a[moved[0]], a[moved[1]])  # one blank move
+
+
+def test_verify_past_the_oracle_cap_skips_the_bound_checks(capsys, tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text(RunManifest(domain="grid", map=str(MAPS / "yard30.map"), start="3 15 0",
+                                goal="26 15", clock="virtual").to_text())
+    assert main(["verify", "--manifest", str(path), "--oracle-cap", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "oracle unavailable (state cap exceeded); bound checks skipped"
+    assert out[-1] == "PASS"
 
 
 def test_unset_solve_flags_take_the_manifest_defaults(tmp_path):

@@ -88,6 +88,19 @@ def test_map_parse_rejects_bad_resolution(res):
         OccupancyGrid.parse(f"3 1 {res}\n...\n")
 
 
+@pytest.mark.parametrize("args, match", [
+    ((0, 3, 1.0, bytearray(0)), "grid dimensions must be positive"),
+    ((3, -1, 1.0, bytearray(0)), "grid dimensions must be positive"),
+    ((3, 3, 0.0, bytearray(9)), "resolution must be positive and finite"),
+    ((3, 3, INF, bytearray(9)), "resolution must be positive and finite"),
+    ((3, 3, math.nan, bytearray(9)), "resolution must be positive and finite"),
+    ((3, 3, 1.0, bytearray(8)), "cell buffer size mismatch"),
+])
+def test_grid_constructor_rejects_bad_dimensions_resolution_and_buffer(args, match):
+    with pytest.raises(ValueError, match=match):
+        OccupancyGrid(*args)
+
+
 def test_out_of_bounds_is_obstacle():
     g = OccupancyGrid.empty(3, 3)
     assert g.is_obstacle(-1, 0)
@@ -551,14 +564,15 @@ def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
     # The fields would stay exact if cells were popped out of order: a cell
     # popped early is queued again when its value drops. But it would then
     # relax its neighbours from a value that is not final, doing the work
-    # twice.
-    popped: list[float] = []
+    # twice. A straight entry is never stale, so the sweep pops it without
+    # a check: it must pop at its cell's final value.
+    popped: list[tuple[float, int, int]] = []
     pushed: list[tuple[float, int, int]] = []
 
     class RecordingDeque(deque):
         def popleft(self):
             entry = super().popleft()
-            popped.append(entry[0])
+            popped.append(entry)
             return entry
 
         def append(self, entry):
@@ -579,7 +593,11 @@ def test_padded_sweep_pops_in_order_and_relaxes_from_final_values(monkeypatch):
                 pushed.clear()
                 field = grid_mod._padded_sweep(tables, sources, width, height, straight)
                 case = (name, width, height, straight, sources)
-                assert popped == sorted(popped), case
+                for d, n, u in popped:
+                    if u in (1, -1, stride, -stride):
+                        y, x = divmod(n, stride)
+                        assert d == field[(y - 1) * width + x - 1], case
+                assert [d for d, _, _ in popped] == sorted(d for d, _, _ in popped), case
                 for d, n, u in pushed:
                     y, x = divmod(n - u, stride)
                     step = straight if u in (1, -1, stride, -stride) else diagonal
@@ -758,6 +776,26 @@ def test_solution_path_replays_through_primitives():
             assert not footprint_collides(g, (ax + px, ay + py, pt), SMALL)
         total += math.ceil(prim.cost_milli * g.resolution)
     assert total == records[-1].cost
+
+
+def test_lattice_rejects_no_primitives_and_a_start_heading_outside_its_fan():
+    g = OccupancyGrid.empty(15, 15)
+    with pytest.raises(ValueError, match="^no motion primitives loaded$"):
+        LatticeDomain(g, (3, 7, 0), (11, 7), primitives=[])
+    for heading in (16, -1):
+        with pytest.raises(ValueError, match="^start heading outside the configured fan$"):
+            LatticeDomain(g, (3, 7, heading), (11, 7))
+
+
+def test_primitive_between_states_with_no_edge_is_none():
+    dom = LatticeDomain(OccupancyGrid.empty(15, 15), (3, 7, 0), (11, 7), footprint=SMALL)
+    start = dom.start()
+    children = {sid for sid, _ in dom.successors(start)}
+    assert all(dom.primitive_between(start, sid) is not None for sid in children)
+    for x, y, t in ((3, 7, 0), (3, 7, 1), (4, 7, 1), (9, 9, 0)):
+        sid = dom._intern(x, y, t)
+        assert sid not in children
+        assert dom.primitive_between(start, sid) is None
 
 
 def test_planner_state_tables_hold_only_reached_states():

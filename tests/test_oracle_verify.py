@@ -2,7 +2,9 @@
 injected-fault cases."""
 import math
 
-from amhastar.oracle import uniform_cost_optimal
+import pytest
+
+from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
 from amhastar.planner import SolutionRecord
 from amhastar.verify import verify_run
 
@@ -55,6 +57,11 @@ def test_octile_closed_form():
 # -- verdicts -----------------------------------------------------------------
 
 
+def test_exhaustive_tile_table_refuses_more_than_nine_cells():
+    with pytest.raises(ValueError, match="^exhaustive enumeration is intended for <= 9 cells$"):
+        tile_goal_distances(4, 4)
+
+
 def test_verify_passes_clean_run():
     records = [record(12, 6.0), record(10, 2.0), record(8, 1.0)]
     log = [[(1, 1), (1, 0), (2, 0)], [(3, 2)], []]
@@ -90,6 +97,13 @@ def test_verify_flags_cost_regression():
     verdict = verify_run(records, oracle_cost=10)
     assert not verdict.passed
     assert any(f.startswith("monotonicity") for f in verdict.failures)
+
+
+def test_verify_flags_a_rising_bound_and_renders_fail():
+    records = [record(10, 2.0), record(10, 3.0)]
+    verdict = verify_run(records, oracle_cost=10)
+    assert verdict.failures == ["monotonicity: bound increases at record 1"]
+    assert str(verdict) == "FAIL\n  - monotonicity: bound increases at record 1"
 
 
 def test_verify_skips_bound_check_without_oracle():

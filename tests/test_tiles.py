@@ -1,5 +1,6 @@
 """Tile domain mechanics against brute-force recounts and exhaustive BFS."""
 import itertools
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -292,6 +293,23 @@ def test_unsolvable_board_rejected_by_domain():
 
 
 # -- weights and files ------------------------------------------------------------
+
+
+def test_domain_rejects_a_negative_heuristic_count():
+    with pytest.raises(ValueError, match="^num_inadmissible must be >= 0$"):
+        TilePuzzleDomain(random_solvable_board(3, 3, seed=1), num_inadmissible=-1)
+
+
+@pytest.mark.parametrize("triple", [
+    (1, 2), (1, 2, 3, 4), ("a", "b", "c"), (math.nan, 1, 1), (-1, 2, 3), (math.inf, 0, 0),
+], ids=["two", "four", "letters", "nan", "negative", "inf"])
+def test_domain_rejects_a_weight_triple_that_is_not_three_finite_numbers_at_least_0(triple):
+    # Heuristics 1..N must be >= 0 for the bound, and inf * 0 is NaN at the goal.
+    board = random_solvable_board(3, 3, seed=1)
+    with pytest.raises(ValueError):
+        TilePuzzleDomain(board, num_inadmissible=1, weights=[triple])
+    assert TilePuzzleDomain(board, num_inadmissible=1, weights=[(0, 0, 0)]).weights == (
+        (0.0, 0.0, 0.0),)
 
 
 def test_draw_weights_deterministic_and_in_range():
