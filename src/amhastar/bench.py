@@ -8,10 +8,11 @@ algorithms x instances grid from a key=value config file and writes
                 columns: instance,algo,success,t_initial_s,t_final_s,
                 eps_initial,eps_final,cost_initial,cost_final,expansions
   curves/<run-id>.csv   the anytime curve, columns: t_s,cost,bound
-  manifests/<run-id>.txt   the replayable manifest
-  verdicts.txt  per-run guarantee checks, when an oracle is configured; the
-                optimum of a board of at most 9 cells comes from one
-                exhaustive table per board size
+  manifests/<run-id>.txt   the replayable manifest, written before the run
+  verdicts.txt  per-run guarantee checks, when an oracle is configured: each
+                published path replayed through the run's domain, and the
+                bounds against the optimum, which for a board of at most 9
+                cells comes from one exhaustive table per board size
 
 Replays are byte-identical when the manifest uses the virtual clock; wall
 clock timings vary by nature.
@@ -27,10 +28,10 @@ from typing import Optional
 from .domain import SearchDomain, _line_error
 from .grid import (DEFAULT_FOOTPRINT, LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives,
                    load_scenarios)
-from .oracle import ORACLE_CAP, tile_goal_distances, uniform_cost_optimal
+from .oracle import tile_goal_distances, uniform_cost_optimal
 from .planner import MODES, Planner, PlannerConfig, SolutionRecord
-from .tiles import (TilePuzzleDomain, format_instance_line, load_instances, parse_instance_line,
-                    weight_triples)
+from .tiles import (TilePuzzleDomain, draw_weights, format_instance_line, load_instances,
+                    parse_instance_line, weight_triples)
 from .verify import Verdict, verify_run
 
 SUMMARY_COLUMNS = (
@@ -40,7 +41,7 @@ SUMMARY_COLUMNS = (
 CURVE_COLUMNS = "t_s,cost,bound"
 AGGREGATE_INSTANCE = "__mean__"
 # Bench config keys that configure the harness, not a run.
-HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "oracle", "oracle_cap"))
+HARNESS_KEYS = frozenset(("algos", "instances", "scenarios", "oracle"))
 # RunManifest fields that each run of a bench takes from the harness keys.
 PER_RUN_KEYS = frozenset(("algo", "board", "start", "goal"))
 
@@ -73,6 +74,16 @@ class RunManifest:
     def __post_init__(self) -> None:
         if self.n_heur < 0:
             raise ValueError(f"n_heur = {self.n_heur}: expected >= 0")
+        if self.domain == "tiles":
+            # An empty `weights` is filled with `draw_weights(n_heur, seed)`, so
+            # a saved manifest replays the exact run even if the drawing scheme
+            # ever changes; a given one is checked.
+            triples = (_parse_field("weights", self.weights, _weight_triples) if self.weights
+                       else draw_weights(self.n_heur, self.seed))
+            if len(triples) != self.n_heur:
+                raise ValueError(f"weights = {self.weights!r}: expected one triple per "
+                                 f"heuristic (n_heur = {self.n_heur}), got {len(triples)}")
+            self.weights = ",".join(":".join(map(repr, triple)) for triple in triples)
 
     def to_text(self) -> str:
         lines = ["manifest_version = 1"]
@@ -108,40 +119,19 @@ class RunManifest:
     def build_domain(self) -> SearchDomain:
         if self.domain == "tiles":
             board = _parse_field("board", self.board, parse_instance_line)
-            # Recorded draws take precedence so a saved manifest replays the
-            # exact run even if the drawing scheme ever changes.
-            recorded = None
-            if self.weights:
-                recorded = _parse_field("weights", self.weights, lambda text: weight_triples(
-                    triple.split(":") for triple in text.split(",")))
-                if len(recorded) != self.n_heur:
-                    raise ValueError(f"weights = {self.weights!r}: expected one triple per "
-                                     f"heuristic (n_heur = {self.n_heur}), got {len(recorded)}")
-            dom = TilePuzzleDomain(
-                board,
-                num_inadmissible=self.n_heur,
-                weight_seed=self.seed,
-                weights=recorded,
-            )
-            self.weights = ",".join(
-                ":".join(repr(x) for x in triple) for triple in dom.weights
-            )
-            return dom
+            return TilePuzzleDomain(board, _weight_triples(self.weights))
         if self.domain == "grid":
             grid = _parse_field("map", self.map, OccupancyGrid.load)
             start = tuple(_ints("start", self.start, (3,)))
             gx, gy, *gt = _ints("goal", self.goal, (2, 3))
             goal = (gx, gy, gt[0] if gt else None)
-            if self.primitives == "builtin16":
-                prims, num_headings = None, 16
-            else:
-                prims, num_headings = _parse_field("primitives", self.primitives, load_primitives)
+            primitives = (None if self.primitives == "builtin16" else
+                          _parse_field("primitives", self.primitives, load_primitives))
             return LatticeDomain(
                 grid,
                 start,  # type: ignore[arg-type]
                 goal,
-                primitives=prims,
-                num_headings=num_headings,
+                primitives=primitives,
                 footprint=_parse_field("footprint", self.footprint, parse_footprint),
             )
         raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
@@ -168,6 +158,11 @@ def parse_kv(text: str) -> dict[str, str]:
             raise _line_error(n, f"key {key!r} given twice")
         values[key] = value
     return values
+
+
+def _weight_triples(text: str) -> tuple[tuple[float, float, float], ...]:
+    """The `a:b:c,...` weight triples of a manifest's `weights` field."""
+    return weight_triples(triple.split(":") for triple in text.split(",")) if text else ()
 
 
 def _ints(key: str, text: str, counts: tuple[int, ...]) -> list[int]:
@@ -331,9 +326,6 @@ def run_matrix(config_path, out_dir) -> Path:
     if oracle not in ("on", "off"):
         raise ValueError(f"oracle = {oracle!r}: expected on or off")
     use_oracle = oracle == "on"
-    cap = values.get("oracle_cap", str(ORACLE_CAP))
-    if not cap.isdigit():
-        raise ValueError(f"oracle_cap = {cap!r}: expected int")
     manifests = _build_manifests(values, config_path.parent)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,17 +336,16 @@ def run_matrix(config_path, out_dir) -> Path:
     runs: dict[str, list[tuple[list[SolutionRecord], int]]] = {}  # per algo, in first appearance
     verdict_lines: list[str] = []
     for run_id, manifest in manifests:
+        (out / "manifests" / f"{run_id}.txt").write_text(manifest.to_text())
         verdict = None
         try:
             if use_oracle:
-                verdict, records, planner, _ = verify_manifest(manifest, int(cap), tile_tables)
+                verdict, records, planner, _ = verify_manifest(manifest, tile_tables)
             else:
                 records, planner, _ = run_from_manifest(manifest)
         except Exception as exc:  # noqa: BLE001 - isolate per-run crashes
             records, planner = [], None
             verdict_lines.append(f"{run_id} ERROR {exc}")
-        # written after the run so recorded draws (tile weights) are included
-        (out / "manifests" / f"{run_id}.txt").write_text(manifest.to_text())
         expansions = planner.expansions_total if planner is not None else 0
         lines.append(summary_row(run_id.split("--", 1)[1], manifest.algo, records, expansions))
         runs.setdefault(manifest.algo, []).append((records, expansions))
@@ -372,16 +363,17 @@ def run_matrix(config_path, out_dir) -> Path:
 
 
 def verify_manifest(
-    manifest: RunManifest, oracle_cap: int = ORACLE_CAP,
+    manifest: RunManifest,
     tile_tables: Optional[dict[tuple[int, int], dict[bytes, int]]] = None,
 ) -> tuple[Verdict, list[SolutionRecord], Planner, Optional[float]]:
     """Replay a manifest with logging and check it against the oracle.
 
     The optimum of a board of at most 9 cells is looked up in one exhaustive
     table per board size, built on first use and kept in `tile_tables` when
-    given; every other instance runs the capped Dijkstra on the run's domain.
-    Returns the verdict, the replay's records and planner, and the optimum
-    (None when the oracle gave up at `oracle_cap` settled states).
+    given; every other instance runs the Dijkstra oracle on the run's domain.
+    Every record's path is replayed through that domain as well. Returns the
+    verdict, the replay's records and planner, and the optimum (None when
+    the oracle gave up at `ORACLE_CAP` settled states).
     """
     records, planner, domain = run_from_manifest(manifest, record_expansions=True)
     board = parse_instance_line(manifest.board) if manifest.domain == "tiles" else None
@@ -392,6 +384,6 @@ def verify_manifest(
             tables[size] = tile_goal_distances(*size)
         optimal = tables[size].get(bytes(board.tiles), math.inf)
     else:
-        optimal = uniform_cost_optimal(domain, state_cap=oracle_cap)
-    verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo)
+        optimal = uniform_cost_optimal(domain)
+    verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo, domain)
     return verdict, records, planner, optimal

@@ -8,7 +8,6 @@ from pathlib import Path
 
 from . import bench
 from .bench import RunManifest, curve_csv
-from .oracle import ORACLE_CAP
 from .planner import MODES, Outcome
 from .tiles import format_instance_line, random_solvable_board
 
@@ -91,7 +90,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     manifest = RunManifest.from_text(Path(args.manifest).read_text())
-    verdict, records, planner, optimal = bench.verify_manifest(manifest, args.oracle_cap)
+    verdict, records, planner, optimal = bench.verify_manifest(manifest)
     if optimal is None:
         print("oracle unavailable (state cap exceeded); bound checks skipped")
     print(f"records: {len(records)}  expansions: {planner.expansions_total}")
@@ -132,7 +131,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="replay a manifest and check its guarantees")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

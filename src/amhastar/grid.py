@@ -282,10 +282,11 @@ BUILTIN_PRIMITIVES = Path(__file__).parent / "data" / "primitives" / "unicycle16
 
 
 @functools.lru_cache(maxsize=1)
-def _builtin_primitives() -> tuple[MotionPrimitive, ...]:
-    """The shipped set, read once per process: per 16-fan heading, 1-cell and
-    ~8-cell straights and left and right turns of radius >= 3 cells."""
-    return tuple(load_primitives(BUILTIN_PRIMITIVES)[0])
+def _builtin_primitives() -> tuple[tuple[MotionPrimitive, ...], int]:
+    """The shipped set and its 16 headings, read once per process: per heading,
+    1-cell and ~8-cell straights and left and right turns of radius >= 3 cells."""
+    prims, num_headings = load_primitives(BUILTIN_PRIMITIVES)
+    return tuple(prims), num_headings
 
 
 def load_primitives(path) -> tuple[list[MotionPrimitive], int]:
@@ -666,7 +667,8 @@ class LatticeDomain(SearchDomain):
     content and set of swept cells at construction: later `grid.set_obstacle`
     calls are not seen. `successors` looks up, per chunk of up to 8 of the
     heading's primitives, the cell's byte in a table of the free
-    primitives' successors, in primitive order.
+    primitives' successors, in primitive order. `primitives` is the pair
+    `load_primitives` returns, None the shipped set.
     """
 
     num_inadmissible = 3
@@ -676,18 +678,13 @@ class LatticeDomain(SearchDomain):
         grid: OccupancyGrid,
         start_pose: tuple[int, int, int],
         goal: tuple[int, int, Optional[int]] | tuple[int, int],
-        primitives: Optional[Sequence[MotionPrimitive]] = None,
-        num_headings: int = 16,
+        primitives: Optional[tuple[Sequence[MotionPrimitive], int]] = None,
         footprint: RobotFootprint = DEFAULT_FOOTPRINT,
     ) -> None:
         self.grid = grid
+        prims, num_headings = _builtin_primitives() if primitives is None else primitives
         self.num_headings = num_headings
-        if primitives is None:
-            if num_headings != 16:
-                raise ValueError(f"the builtin primitives have 16 headings, not "
-                                 f"{num_headings}: pass primitives for {num_headings}")
-            primitives = _builtin_primitives()
-        self.primitives = list(primitives)
+        self.primitives = list(prims)
         if not self.primitives:
             raise ValueError("no motion primitives loaded")
         self.footprint = footprint

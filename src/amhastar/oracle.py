@@ -13,8 +13,8 @@ from typing import Optional
 from .domain import SearchDomain
 
 INF = math.inf
-# Settled states after which uniform_cost_optimal gives up: the default of
-# every oracle run, from the bench config's `oracle_cap` to `verify --oracle-cap`.
+# Settled states after which uniform_cost_optimal gives up, in every oracle run
+# of the bench and of `amhastar verify`.
 ORACLE_CAP = 2_000_000
 
 

@@ -21,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .domain import SearchDomain, StateInterner, _line_error
 
@@ -36,6 +36,9 @@ class TileBoard:
         if self.width < 2 or self.height < 2:
             raise ValueError("board must be at least 2x2")
         n = self.width * self.height
+        if n > 256:
+            raise ValueError(f"board {self.width}x{self.height} has {n} cells: "
+                             "at most 256, one byte per tile")
         if len(self.tiles) != n or sorted(self.tiles) != list(range(n)):
             raise ValueError("tiles must be a permutation of 0..n-1")
 
@@ -152,8 +155,8 @@ def _line_removals(goal_offsets: bytes) -> int:
     Equals line length minus the longest strictly increasing subsequence of
     the goal offsets; keeping an increasing subsequence is exactly keeping a
     conflict-free set. The offsets are distinct and below the line length,
-    so the cache holds at most 65 entries per line length of 4 and 109,601
-    for the longest line, 8.
+    so the cache holds at most 65 entries for a line of 4 and 109,601 for a
+    line of 8; a longer line holds the offset sequences its boards meet.
     """
     best: list[int] = []
     for x in goal_offsets:
@@ -262,9 +265,8 @@ class TilePuzzleDomain(SearchDomain):
     """Interned tile-puzzle search domain.
 
     Heuristic 0 is Manhattan + linear conflict. Heuristics 1..N are weighted
-    sums of (misplaced, manhattan, conflict); the weights are given, one
-    triple of finite numbers >= 0 per heuristic, or drawn once at
-    construction from the given seed, and recorded on the instance.
+    sums of (misplaced, manhattan, conflict), one given weight triple of
+    finite numbers >= 0 per heuristic (`draw_weights` draws them).
 
     Every state is scored once, when it is first interned: the start and the
     goal from scratch with the three reference functions, every other state
@@ -274,24 +276,11 @@ class TilePuzzleDomain(SearchDomain):
     triple, so states with equal triples share one tuple object.
     """
 
-    def __init__(
-        self,
-        board: TileBoard,
-        num_inadmissible: int = 2,
-        weight_seed: int = 0,
-        weights: Optional[Sequence[tuple[float, float, float]]] = None,
-    ) -> None:
-        if num_inadmissible < 0:
-            raise ValueError("num_inadmissible must be >= 0")
+    def __init__(self, board: TileBoard, weights: Sequence[Sequence[float]]) -> None:
         if not is_solvable(board):
             raise ValueError("board is not solvable for the fixed goal arrangement")
-        self.num_inadmissible = num_inadmissible
-        if weights is not None:
-            if len(weights) != num_inadmissible:
-                raise ValueError("need one weight triple per inadmissible heuristic")
-            self.weights = weight_triples(weights)
-        else:
-            self.weights = draw_weights(num_inadmissible, weight_seed)
+        self.weights = weight_triples(weights)
+        self.num_inadmissible = len(self.weights)
         self._interner = StateInterner()
         self._width = board.width
         self._height = board.height

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .domain import SearchDomain
 from .planner import REOPENING_MODES, SolutionRecord
 
 
@@ -27,9 +28,13 @@ def verify_run(
     oracle_cost: Optional[float],
     expansion_log: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
     algo: Optional[str] = None,
+    domain: Optional[SearchDomain] = None,
 ) -> Verdict:
     """Check published records and the expansion log of one run.
 
+    - path (when the run's `domain` is given): every record's path starts at
+      `domain.start()`, ends on a goal, and steps only along `successors`
+      edges whose least costs sum to the record's cost.
     - suboptimality-bound: every record's cost is at most bound * oracle_cost
       (skipped when the oracle is unavailable).
     - expansion-limit: within each improve-path iteration no state is expanded
@@ -39,6 +44,22 @@ def verify_run(
     - monotonicity: published costs and bounds never increase.
     """
     verdict = Verdict()
+    for k, rec in enumerate(records if domain is not None else ()):
+        path, cost = rec.path, 0
+        if not path or path[0] != domain.start():
+            verdict.fail(f"path: record {k} does not start at the start state")
+            continue
+        if not domain.is_goal(path[-1]):
+            verdict.fail(f"path: record {k} does not end on a goal")
+        for step, (a, b) in enumerate(zip(path, path[1:])):
+            costs = [c for s2, c in domain.successors(a) if s2 == b]
+            if not costs:
+                verdict.fail(f"path: record {k} step {step} is no edge from state {a} to {b}")
+                break
+            cost += min(costs)
+        else:
+            if cost != rec.cost:
+                verdict.fail(f"path: record {k} cost {rec.cost} but its edges sum to {cost}")
     if oracle_cost is not None:
         for k, rec in enumerate(records):
             if rec.cost > rec.bound * oracle_cost:
@@ -67,3 +88,4 @@ def verify_run(
                         f"(queues {qis}) in iteration {it}"
                     )
     return verdict
+

@@ -19,6 +19,7 @@ from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
 from amhastar.planner import SolutionRecord
 from amhastar.tiles import (
     TilePuzzleDomain,
+    draw_weights,
     format_instance_line,
     linear_conflict,
     manhattan_distance,
@@ -62,7 +63,7 @@ def tile_runs(tile_table):
         seed = 1000 + k
         w1, w2 = WEIGHT_PAIRS[k % len(WEIGHT_PAIRS)]
         board = random_solvable_board(3, 3, seed=seed)
-        domain = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed)
+        domain = TilePuzzleDomain(board, draw_weights(2, seed))
         planner = Planner(
             domain, PlannerConfig(w1=w1, w2=w2, record_expansions=True)
         )
@@ -182,10 +183,10 @@ def test_oneshot_equivalence():
         board = random_solvable_board(3, 3, seed=seed)
         cfg = PlannerConfig(w1=3.0, w2=2.0)
         first = Planner(
-            TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed), cfg
+            TilePuzzleDomain(board, draw_weights(2, seed)), cfg
         ).run()[0]
         oneshot = Planner(
-            TilePuzzleDomain(board, num_inadmissible=2, weight_seed=seed),
+            TilePuzzleDomain(board, draw_weights(2, seed)),
             replace(cfg, algo="mha"),
         ).run()
         assert len(oneshot) == 1
@@ -204,11 +205,11 @@ def test_wastar_degeneracy():
         anchor_copy = [(0.0, 1.0, 1.0)] * 2
         cfg = PlannerConfig(w1=2.5, w2=1.0)
         multi = Planner(
-            TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy),
+            TilePuzzleDomain(board, anchor_copy),
             replace(cfg, algo="mha"),
         ).run()
         plain = Planner(
-            TilePuzzleDomain(board, num_inadmissible=0, weights=[]),
+            TilePuzzleDomain(board, []),
             replace(cfg, algo="wastar"),
         ).run()
         assert multi[0].cost == plain[0].cost, f"seed {seed}"
@@ -265,7 +266,7 @@ def test_first_solution_time_direction():
         seed = 3000 + k
         board = random_solvable_board(4, 4, seed=seed)
         for algo in ("amha", "ara"):
-            domain = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
+            domain = TilePuzzleDomain(board, draw_weights(3, seed))
             if algo == "amha":
                 cfg = PlannerConfig(w1=12.5, w2=2.0, dw1=5.75, dw2=0.5,
                                     algo="amha", clock="virtual", tick=2e-3,

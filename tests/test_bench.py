@@ -300,6 +300,51 @@ def test_grid_manifest_with_primitive_file(tmp_path):
     assert len(domain.primitives) == 64
 
 
+def test_grid_manifest_with_a_four_heading_primitive_file(tmp_path):
+    from amhastar.grid import MotionPrimitive, OccupancyGrid, heading_vector
+    from helpers import save_primitives
+
+    map_path = tmp_path / "m.map"
+    map_path.write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
+    prim_path = tmp_path / "p.mprim"
+    prims = []
+    for t in range(4):
+        vx, vy = heading_vector(4, t)
+        prims.append(MotionPrimitive(t, t, 1000, ((0, 0, t), (vx, vy, t))))
+        prims.append(MotionPrimitive(t, (t + 1) % 4, 500, ((0, 0, t), (0, 0, (t + 1) % 4))))
+    save_primitives(prims, 4, prim_path)
+    manifest = RunManifest(algo="wastar", domain="grid", map=str(map_path), start="3 7 0",
+                           goal="11 7 2", footprint="rect:0.4x0.3", primitives=str(prim_path),
+                           w1=2.0, clock="virtual")
+    records, _, domain = run_from_manifest(manifest)
+    assert domain.num_headings == 4 and domain.primitives == prims
+    assert domain.pose_of(records[-1].path[-1]) == (11, 7, 2)
+
+
+@pytest.mark.parametrize("domain", ["tiles", "grid"])
+def test_build_domain_leaves_the_manifest_text_unchanged(domain):
+    # A tiles manifest holds its drawn weights from the start, so a manifest
+    # written before its run replays it.
+    yard = Path(amhastar.__file__).parent / "data" / "maps" / "yard30.map"
+    manifest = tile_manifest(seed=5, n_heur=3) if domain == "tiles" else RunManifest(
+        domain="grid", map=str(yard), start="3 15 0", goal="26 15")
+    text = manifest.to_text()
+    manifest.build_domain()
+    assert manifest.to_text() == text
+    assert RunManifest.from_text(text) == manifest
+
+
+def test_tiles_manifest_weights_are_drawn_from_its_seed_or_kept():
+    from amhastar.tiles import draw_weights
+
+    drawn = tile_manifest(seed=5, n_heur=3)
+    assert drawn.build_domain().weights == draw_weights(3, 5)
+    given = tile_manifest(seed=5, n_heur=1, weights="1:2:3.5")
+    assert given.weights == "1.0:2.0:3.5"
+    assert given.build_domain().weights == ((1.0, 2.0, 3.5),)
+    assert tile_manifest(n_heur=0).weights == ""
+
+
 def test_from_values_coerces_by_field_type():
     m = RunManifest.from_values({"w1": "2.5", "seed": "7", "clock": "virtual"})
     assert (m.w1, m.seed, m.clock, m.w2) == (2.5, 7, "virtual", 1.0)
@@ -313,7 +358,8 @@ def test_from_values_coerces_by_field_type():
     (dict(n_heur="two"), r"n_heur = 'two': expected int"),
     (dict(algo="ara"), r"\['algo'\] are set per run"),
     (dict(oracle="yes"), r"oracle = 'yes': expected on or off"),
-    (dict(oracle_cap="lots"), r"oracle_cap = 'lots': expected int"),
+    (dict(weights="1:2:3"),
+     r"^weights = '1:2:3': expected one triple per heuristic \(n_heur = 2\), got 1$"),
     (dict(instances="missing.txt"), r"instances = missing.txt: .*No such file"),
     (dict(algos="amha, amah"), r"^algos = 'amha, amah': unknown modes \['amah'\]"),
     (dict(clock="wal"), r"^clock = 'wal': expected wall or virtual$"),
@@ -353,9 +399,10 @@ def test_build_domain_names_a_bad_text_field(key, value, message):
                   start=dict(domain="grid", map=str(yard), goal="26 15"),
                   goal=dict(domain="grid", map=str(yard), start="3 15 0"),
                   weights=dict(domain="tiles", board="3 3 1 2 0 3 4 5 6 7 8", n_heur=1))[key]
-    manifest = RunManifest(**fields, **{key: value})
+    # A bad weights value is rejected when the manifest is made, the rest
+    # when its domain is built.
     with pytest.raises(ValueError, match=rf"^{key} = '{value}': {message}"):
-        manifest.build_domain()
+        RunManifest(**fields, **{key: value}).build_domain()
 
 
 @pytest.mark.parametrize("key, value", [("map", ""), ("map", "nope.map"),

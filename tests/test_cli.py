@@ -86,11 +86,15 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
                              (["--n-heur", "-1"], "n_heur = -1: expected >= 0"))],
     (["solve-tiles", "--seed", "1", "--w1", "1e20", "--w2", "1", "--clock", "virtual",
       "--time-limit", "1"], None, "dw1 = 1.0: expected >= 32768, so each step lowers the weight"),
+    (["solve-tiles", "--width", "17", "--height", "16"], None,
+     "board 17x16 has 272 cells: at most 256, one byte per tile"),
+    (["solve-tiles", "--board", "17 16 " + " ".join(map(str, range(272)))], None,
+     "board = '17 16 0 1 2"),
 ], ids=["solve-grid-missing-map", "verify-missing-manifest", "verify-empty-map",
         "verify-bad-start", "verify-bad-algo", "verify-unknown-domain", "footprint-inf", "footprint-1e400", "footprint-nan",
         "footprint-three-sides", "goal-heading-16", "footprint-beyond-map", "w1-inf", "w2-inf",
         "time-limit-nan", "time-limit-negative", "tick-inf", "n-heur-negative",
-        "w1-step-below-two-ulps"])
+        "w1-step-below-two-ulps", "board-over-256-cells", "board-line-over-256-cells"])
 def test_bad_input_prints_its_message_and_exits_2(capsys, tmp_path, argv, fields, message):
     if argv == ["verify"]:
         path = tmp_path / "run.txt"
@@ -119,11 +123,15 @@ def test_print_path_prints_the_boards_from_start_to_goal(capsys):
         assert len(moved) == 2 and "0" in (a[moved[0]], a[moved[1]])  # one blank move
 
 
-def test_verify_past_the_oracle_cap_skips_the_bound_checks(capsys, tmp_path):
+def test_verify_past_the_oracle_cap_skips_the_bound_checks(capsys, monkeypatch, tmp_path):
+    from amhastar import bench
+
+    oracle = bench.uniform_cost_optimal
+    monkeypatch.setattr(bench, "uniform_cost_optimal", lambda domain: oracle(domain, 1))
     path = tmp_path / "run.txt"
     path.write_text(RunManifest(domain="grid", map=str(MAPS / "yard30.map"), start="3 15 0",
                                 goal="26 15", clock="virtual").to_text())
-    assert main(["verify", "--manifest", str(path), "--oracle-cap", "1"]) == 0
+    assert main(["verify", "--manifest", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "oracle unavailable (state cap exceeded); bound checks skipped"
     assert out[-1] == "PASS"
@@ -134,7 +142,6 @@ def test_unset_solve_flags_take_the_manifest_defaults(tmp_path):
     board = format_instance_line(random_solvable_board(3, 3, seed=6))
     assert main(["solve-tiles", "--board", board, "--out", str(tmp_path)]) == 0
     expected = RunManifest(domain="tiles", board=board, w1=3.0, w2=2.0)
-    expected.build_domain()  # records the weights drawn from the default seed
     assert (tmp_path / "manifest.txt").read_text() == expected.to_text()
 
 
@@ -175,14 +182,13 @@ def test_bench_and_verify_round_trip(capsys, tmp_path):
 def test_bench_and_verify_default_to_the_one_oracle_cap(monkeypatch, tmp_path):
     from amhastar import bench
     from amhastar.grid import OccupancyGrid
-    from amhastar.oracle import ORACLE_CAP
 
     caps = []
     oracle = bench.uniform_cost_optimal
 
-    def recording_oracle(domain, state_cap):
-        caps.append(state_cap)
-        return oracle(domain, state_cap)
+    def recording_oracle(domain, *cap):
+        caps.append(cap)
+        return oracle(domain, *cap)
 
     monkeypatch.setattr(bench, "uniform_cost_optimal", recording_oracle)
     (tmp_path / "m.map").write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
@@ -196,7 +202,7 @@ def test_bench_and_verify_default_to_the_one_oracle_cap(monkeypatch, tmp_path):
     assert (tmp_path / "out" / "verdicts.txt").read_text() == "wastar--i000 PASS\n"
     assert main(["verify", "--manifest",
                  str(tmp_path / "out" / "manifests" / "wastar--i000.txt")]) == 0
-    assert caps == [ORACLE_CAP, ORACLE_CAP]
+    assert caps == [(), ()]  # both runs take the oracle's one cap, ORACLE_CAP
 
 
 def test_demo_wastar_reopenings_pass_bench_and_verify(capsys, tmp_path):

@@ -184,9 +184,7 @@ def test_primitive_file_round_trip(tmp_path):
 def test_default_lattice_uses_the_shipped_primitives():
     g = OccupancyGrid.empty(9, 9)
     dom = LatticeDomain(g, (4, 4, 0), (8, 4), footprint=SMALL)
-    assert dom.primitives == shipped_primitives()
-    with pytest.raises(ValueError, match="16 headings, not 8"):
-        LatticeDomain(g, (4, 4, 0), (8, 4), num_headings=8, footprint=SMALL)
+    assert dom.primitives == shipped_primitives() and dom.num_headings == 16
 
 
 @pytest.mark.parametrize("body, match", [
@@ -686,7 +684,7 @@ def test_successor_count_on_open_ground_matches_primitives():
 def test_straight_primitive_moves_one_cell_forward():
     g = OccupancyGrid.empty(9, 9)
     prim = MotionPrimitive(0, 0, 1000, ((0, 0, 0), (1, 0, 0)))
-    dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=[prim], footprint=SMALL)
+    dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=([prim], 16), footprint=SMALL)
     succ = dom.successors(dom.start())
     assert len(succ) == 1
     sid, cost = succ[0]
@@ -701,10 +699,10 @@ def test_primitive_sweeping_obstacle_is_omitted():
     g.set_obstacle(5, 4)
     tiny = RobotFootprint(0.02, 0.02)
     prim = MotionPrimitive(0, 0, 2000, ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
-    dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=[prim], footprint=tiny)
+    dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=([prim], 16), footprint=tiny)
     assert dom.successors(dom.start()) == ()
     g2 = OccupancyGrid.empty(9, 9)
-    dom2 = LatticeDomain(g2, (4, 4, 0), (8, 4), primitives=[prim], footprint=tiny)
+    dom2 = LatticeDomain(g2, (4, 4, 0), (8, 4), primitives=([prim], 16), footprint=tiny)
     assert [dom2.pose_of(t) for t, _ in dom2.successors(dom2.start())] == [(6, 4, 0)]
 
 
@@ -781,7 +779,7 @@ def test_solution_path_replays_through_primitives():
 def test_lattice_rejects_no_primitives_and_a_start_heading_outside_its_fan():
     g = OccupancyGrid.empty(15, 15)
     with pytest.raises(ValueError, match="^no motion primitives loaded$"):
-        LatticeDomain(g, (3, 7, 0), (11, 7), primitives=[])
+        LatticeDomain(g, (3, 7, 0), (11, 7), primitives=([], 16))
     for heading in (16, -1):
         with pytest.raises(ValueError, match="^start heading outside the configured fan$"):
             LatticeDomain(g, (3, 7, heading), (11, 7))
@@ -948,7 +946,7 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
     goal = next((x, y) for y in range(height) for x in range(width) if not grid.is_obstacle(x, y))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a goal cell too narrow for a field
-        dom = LatticeDomain(grid, start, goal, primitives=prims, num_headings=num_headings,
+        dom = LatticeDomain(grid, start, goal, primitives=(prims, num_headings),
                             footprint=footprint)
     # Poses at every distance from every edge out to the widest sweep, the
     # four corners, and some more anywhere on the map.

@@ -203,4 +203,4 @@ def test_lattice_domain_rejects_primitive_objects_outside_its_fan(poses):
     grid = OccupancyGrid.load(DATA / "maps" / "yard30.map")
     prims = [MotionPrimitive(0, poses[-1][2], 1000, poses)]
     with pytest.raises(ValueError, match="^primitive heading outside the configured fan$"):
-        LatticeDomain(grid, (3, 15, 0), (26, 15), primitives=prims, num_headings=4)
+        LatticeDomain(grid, (3, 15, 0), (26, 15), primitives=(prims, 4))

@@ -9,7 +9,8 @@ import pytest
 
 from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.planner import _scheduled_weight
-from amhastar.tiles import TilePuzzleDomain, manhattan_distance, random_solvable_board
+from amhastar.tiles import (TilePuzzleDomain, draw_weights, manhattan_distance,
+                            random_solvable_board)
 from amhastar.verify import verify_run
 
 from helpers import (ExplicitGraphDomain, grid_domain, grid_graph, lockstep_difference,
@@ -111,7 +112,7 @@ def test_accepted_weight_schedules_strictly_decrease_to_one():
 
 def test_eight_puzzle_final_record_is_optimal():
     board = random_solvable_board(3, 3, seed=11)
-    dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=11)
+    dom = TilePuzzleDomain(board, draw_weights(2, 11))
     records = Planner(dom, PlannerConfig(algo="amha", w1=3.0, w2=2.0)).run()
     assert records[-1].bound == 1.0
     assert records[-1].cost == astar_manhattan_cost(board)
@@ -137,7 +138,7 @@ def test_no_solution_returns_empty_records():
 
 def test_a_huge_finite_w2_publishes_and_converges():
     board = random_solvable_board(3, 3, seed=1)
-    dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=1)
+    dom = TilePuzzleDomain(board, draw_weights(2, 1))
     planner = Planner(dom, PlannerConfig(w1=1.0, w2=1e307, dw2=1e307,
                                          clock="virtual"))
     records = planner.run()
@@ -171,7 +172,7 @@ def test_an_empty_queue_yields_its_turn_to_the_anchor_at_an_overflowed_bound():
 
 def test_time_budget_keeps_published_records():
     board = random_solvable_board(3, 3, seed=5)
-    dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=5)
+    dom = TilePuzzleDomain(board, draw_weights(2, 5))
     planner = Planner(
         dom,
         PlannerConfig(w1=5.0, w2=5.0, dw1=0.25, dw2=0.25,
@@ -198,7 +199,7 @@ def test_ara_with_unit_weight_is_optimal():
 
 def test_ara_first_solution_within_initial_bound():
     board = random_solvable_board(3, 3, seed=3)
-    dom = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
+    dom = TilePuzzleDomain(board, [])
     optimal = astar_manhattan_cost(board)
     records = Planner(dom, PlannerConfig(algo="ara", w1=3.0, dw1=1.0)).run()
     assert records[0].cost <= 3.0 * optimal
@@ -217,7 +218,7 @@ def test_greedy_weight_expands_less_than_unit_weight_on_empty_grid():
 
 def test_eight_puzzle_path_replays_through_moves():
     board = random_solvable_board(3, 3, seed=14)
-    dom = TilePuzzleDomain(board, num_inadmissible=2, weight_seed=14)
+    dom = TilePuzzleDomain(board, draw_weights(2, 14))
     cfg = PlannerConfig(algo="amha", w1=5.0, w2=5.0, dw1=2.0, dw2=2.0)
     records = Planner(dom, cfg).run()
     for rec in records:
@@ -228,9 +229,9 @@ def test_eight_puzzle_path_replays_through_moves():
 
 def test_oneshot_equals_first_anytime_record():
     board = random_solvable_board(3, 3, seed=21)
-    cfg = PlannerConfig(w1=3.0, w2=2.0)
-    first = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, algo="amha")).run()[0]
-    only = Planner(TilePuzzleDomain(board, weight_seed=21), replace(cfg, algo="mha")).run()
+    cfg, weights = PlannerConfig(w1=3.0, w2=2.0), draw_weights(2, 21)
+    first = Planner(TilePuzzleDomain(board, weights), replace(cfg, algo="amha")).run()[0]
+    only = Planner(TilePuzzleDomain(board, weights), replace(cfg, algo="mha")).run()
     assert len(only) == 1
     assert (only[0].cost, only[0].path, only[0].expansions_total) == (
         first.cost, first.path, first.expansions_total
@@ -239,14 +240,14 @@ def test_oneshot_equals_first_anytime_record():
 
 def test_oneshot_with_unit_weights_is_optimal():
     board = random_solvable_board(3, 3, seed=8)
-    dom = TilePuzzleDomain(board, weight_seed=8)
+    dom = TilePuzzleDomain(board, draw_weights(2, 8))
     records = Planner(dom, PlannerConfig(algo="mha", w1=1.0, w2=1.0)).run()
     assert records[0].cost == astar_manhattan_cost(board)
 
 
 def test_oneshot_publishes_exactly_one_record_with_flat_bound():
     board = random_solvable_board(3, 3, seed=9)
-    dom = TilePuzzleDomain(board, weight_seed=9)
+    dom = TilePuzzleDomain(board, draw_weights(2, 9))
     records = Planner(dom, PlannerConfig(algo="mha", w1=5.0, w2=5.0)).run()
     assert len(records) == 1
     assert records[0].bound == 25.0
@@ -265,8 +266,8 @@ def test_wastar_degeneracy_matches_multi_heuristic_run():
     for seed in range(6):
         board = random_solvable_board(3, 3, seed=100 + seed)
         anchor_copy = [(0.0, 1.0, 1.0)] * 2  # md + lc, same as heuristic 0
-        dom_mh = TilePuzzleDomain(board, num_inadmissible=2, weights=anchor_copy)
-        dom_wa = TilePuzzleDomain(board, num_inadmissible=0, weights=[])
+        dom_mh = TilePuzzleDomain(board, anchor_copy)
+        dom_wa = TilePuzzleDomain(board, [])
         cfg = PlannerConfig(w1=2.5, w2=1.0)
         mh = Planner(dom_mh, replace(cfg, algo="mha")).run()
         wa = Planner(dom_wa, replace(cfg, algo="wastar")).run()
@@ -293,7 +294,7 @@ def test_invariants_hold_during_search():
 @pytest.mark.parametrize("seed", [77, 21])
 def test_expansion_log_double_expansions_are_inadmissible_then_anchor(seed):
     board = random_solvable_board(3, 3, seed=seed)
-    dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
+    dom = TilePuzzleDomain(board, draw_weights(3, seed))
     planner = Planner(dom, PlannerConfig(w1=4.0, w2=3.0,
                                          record_expansions=True))
     planner.run()

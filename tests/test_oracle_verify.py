@@ -121,3 +121,40 @@ def test_reopening_modes_skip_only_the_expansion_limit():
         assert [f.split(":")[0] for f in over.failures] == ["suboptimality-bound"]
         rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, algo=algo)
         assert [f.split(":")[0] for f in rising.failures] == ["monotonicity"]
+
+
+# -- published paths, replayed through the run's domain -------------------------
+
+
+def path_domain():
+    # a -> b twice (costs 2 and 1), b -> c (3), a -> c (9); the goal is c.
+    edges = {"a": [("b", 2), ("b", 1), ("c", 9)], "b": [("c", 3)], "c": []}
+    return ExplicitGraphDomain(edges, "a", "c", heuristics=[{}])
+
+
+def path_record(dom, nodes, cost, bound=1.0):
+    return SolutionRecord(path=tuple(dom.id_of(n) for n in nodes), cost=cost, bound=bound,
+                          elapsed=0.0, expansions_total=0)
+
+
+def test_verify_passes_paths_along_the_least_cost_edges():
+    dom = path_domain()
+    records = [path_record(dom, "ac", 9, bound=3.0), path_record(dom, "abc", 4)]
+    assert verify_run(records, 4, domain=dom).passed
+
+
+@pytest.mark.parametrize("nodes, cost, failure", [
+    ("ab", 1, "path: record 0 does not end on a goal"),
+    ("bc", 3, "path: record 0 does not start at the start state"),
+    ("abc", 5, "path: record 0 cost 5 but its edges sum to 4"),
+    ("abc", 3, "path: record 0 cost 3 but its edges sum to 4"),
+    ("acb", 9, "path: record 0 step 1 is no edge from state 2 to 1"),
+    ("", 0, "path: record 0 does not start at the start state"),
+], ids=["short", "not-from-start", "cost-over", "cost-under", "no-edge", "empty"])
+def test_verify_flags_a_path_that_the_domain_does_not_replay(nodes, cost, failure):
+    dom = path_domain()
+    records = [path_record(dom, nodes, cost)]
+    verdict = verify_run(records, None, domain=dom)
+    assert failure in verdict.failures, verdict.failures
+    # Without the domain, no path is checked.
+    assert verify_run(records, None).passed

@@ -10,7 +10,7 @@ from collections import deque
 import pytest
 
 from amhastar import Outcome, Planner, PlannerConfig
-from amhastar.tiles import TilePuzzleDomain, random_solvable_board
+from amhastar.tiles import TilePuzzleDomain, draw_weights, random_solvable_board
 
 from helpers import ExplicitGraphDomain, grid_domain, grid_graph
 
@@ -274,7 +274,7 @@ def test_finished_planner_is_freed_without_the_cyclic_collector(clock):
     # would hold every finished run's tables until the cyclic collector ran.
     gc.disable()
     try:
-        domain = TilePuzzleDomain(random_solvable_board(3, 3, seed=5), num_inadmissible=2)
+        domain = TilePuzzleDomain(random_solvable_board(3, 3, seed=5), draw_weights(2, 0))
         planner = Planner(domain, PlannerConfig(w1=3.0, w2=2.0, clock=clock,
                                                 time_limit=60.0, record_expansions=True))
         assert planner.run()

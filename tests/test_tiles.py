@@ -149,15 +149,14 @@ def test_misplaced_tiles_cases():
 
 def test_weighted_heuristic_degenerate_cases():
     b = random_solvable_board(3, 3, seed=31)
-    dom = TilePuzzleDomain(b, num_inadmissible=2,
-                           weights=[(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+    dom = TilePuzzleDomain(b, [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
     sid = dom.start()
     assert dom.heuristic(sid, 1) == dom.heuristic(sid, 0)
     goal_sid = dom._goal
     for i in range(3):
         assert dom.heuristic(goal_sid, i) == 0
     one_swap, _ = tile_successors(goal_board(3, 3))[0]
-    dom2 = TilePuzzleDomain(one_swap, num_inadmissible=1, weights=[(1.0, 1.0, 1.0)])
+    dom2 = TilePuzzleDomain(one_swap, [(1.0, 1.0, 1.0)])
     assert dom2.heuristic(dom2.start(), 1) == 2  # mt=1, md=1, lc=0
 
 
@@ -175,7 +174,7 @@ def scratch_heuristics(dom, board):
 def test_incremental_heuristics_match_scratch_along_random_walks(width, height):
     for seed in range(3):
         board = random_solvable_board(width, height, seed=seed)
-        dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=seed)
+        dom = TilePuzzleDomain(board, draw_weights(3, seed))
         # Start and goal are scored from scratch when asked about first.
         for sid, b in ((dom.start(), board), (dom._goal, goal_board(width, height))):
             for i, h in enumerate(scratch_heuristics(dom, b)):
@@ -207,7 +206,7 @@ def bytearray_swap_children(tiles, width, height):
 @pytest.mark.parametrize("width,height", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5)])
 def test_successor_boards_match_bytearray_swap(width, height):
     for seed in range(3):
-        dom = TilePuzzleDomain(random_solvable_board(width, height, seed=seed))
+        dom = TilePuzzleDomain(random_solvable_board(width, height, seed=seed), draw_weights(2, 0))
         rng = random.Random(seed)
         sid = dom.start()
         for _ in range(100):
@@ -219,14 +218,14 @@ def test_successor_boards_match_bytearray_swap(width, height):
 
 
 def test_start_that_is_the_goal_is_scored_once():
-    dom = TilePuzzleDomain(goal_board(3, 3), num_inadmissible=1)
+    dom = TilePuzzleDomain(goal_board(3, 3), draw_weights(1, 0))
     assert dom.start() == dom._goal == 0 and len(dom._h) == 1
     for child, _ in dom.successors(dom.start()):
         assert dom._h[child][-3:] == scratch_triple(dom.board_of(child))
 
 
 def test_states_with_equal_triples_share_one_tuple():
-    dom = TilePuzzleDomain(random_solvable_board(4, 4, seed=3001), num_inadmissible=3)
+    dom = TilePuzzleDomain(random_solvable_board(4, 4, seed=3001), draw_weights(3, 0))
     Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, clock="virtual",
                                tick=1.0, time_limit=2000)).run()
     by_triple = {}
@@ -245,7 +244,7 @@ def test_bytes_per_state_bounded():
     board = random_solvable_board(4, 4, seed=3001)
     tracemalloc.start()
     try:
-        dom = TilePuzzleDomain(board, num_inadmissible=3, weight_seed=3001)
+        dom = TilePuzzleDomain(board, draw_weights(3, 3001))
         planner = Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, dw1=0.25,
                                              dw2=0.1, clock="virtual", tick=1.0,
                                              time_limit=20000))
@@ -277,7 +276,7 @@ def test_parity_matches_exhaustive_reachability():
 def test_generated_boards_solve_to_goal():
     for seed in range(4):
         board = random_solvable_board(3, 3, seed=seed)
-        dom = TilePuzzleDomain(board, num_inadmissible=1, weight_seed=seed)
+        dom = TilePuzzleDomain(board, draw_weights(1, seed))
         records = Planner(dom, PlannerConfig(algo="amha", w1=1.0, w2=1.0)).run()
         assert records and records[-1].bound == 1.0
         depths = bfs_depths(board)
@@ -289,15 +288,10 @@ def test_unsolvable_board_rejected_by_domain():
     bad = TileBoard(3, 3, (0, 2, 1, 3, 4, 5, 6, 7, 8))
     assert not is_solvable(bad)
     with pytest.raises(ValueError):
-        TilePuzzleDomain(bad)
+        TilePuzzleDomain(bad, ())
 
 
 # -- weights and files ------------------------------------------------------------
-
-
-def test_domain_rejects_a_negative_heuristic_count():
-    with pytest.raises(ValueError, match="^num_inadmissible must be >= 0$"):
-        TilePuzzleDomain(random_solvable_board(3, 3, seed=1), num_inadmissible=-1)
 
 
 @pytest.mark.parametrize("triple", [
@@ -307,8 +301,8 @@ def test_domain_rejects_a_weight_triple_that_is_not_three_finite_numbers_at_leas
     # Heuristics 1..N must be >= 0 for the bound, and inf * 0 is NaN at the goal.
     board = random_solvable_board(3, 3, seed=1)
     with pytest.raises(ValueError):
-        TilePuzzleDomain(board, num_inadmissible=1, weights=[triple])
-    assert TilePuzzleDomain(board, num_inadmissible=1, weights=[(0, 0, 0)]).weights == (
+        TilePuzzleDomain(board, [triple])
+    assert TilePuzzleDomain(board, [(0, 0, 0)]).weights == (
         (0.0, 0.0, 0.0),)
 
 
@@ -324,6 +318,23 @@ def test_instance_file_round_trip(tmp_path):
     path = tmp_path / "boards.txt"
     path.write_text("\n".join(format_instance_line(b) for b in boards) + "\n")
     assert load_instances(path) == boards
+
+
+def test_a_board_holds_at_most_256_cells(tmp_path):
+    # A state is one byte per cell.
+    line = "17 16 " + " ".join(map(str, range(272)))
+    message = "^board 17x16 has 272 cells: at most 256, one byte per tile$"
+    with pytest.raises(ValueError, match=message):
+        parse_instance_line(line)
+    path = tmp_path / "boards.txt"
+    path.write_text(format_instance_line(random_solvable_board(3, 3, seed=1)) + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=message.replace("^", "^line 2: ")):
+        load_instances(path)
+    largest = random_solvable_board(16, 16, seed=1)
+    dom = TilePuzzleDomain(largest, draw_weights(2, 1))
+    records = Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, clock="virtual", tick=1.0,
+                                         time_limit=50)).run()
+    assert dom.board_of(dom.start()) == largest and not records
 
 
 def test_parse_instance_rejects_bad_lines():
