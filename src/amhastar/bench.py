@@ -20,6 +20,7 @@ clock timings vary by nature.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -331,7 +332,6 @@ def run_matrix(config_path, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "curves").mkdir(exist_ok=True)
     (out / "manifests").mkdir(exist_ok=True)
-    tile_tables: dict[tuple[int, int], dict[bytes, int]] = {}
     lines = [SUMMARY_COLUMNS]
     runs: dict[str, list[tuple[list[SolutionRecord], int]]] = {}  # per algo, in first appearance
     verdict_lines: list[str] = []
@@ -340,7 +340,7 @@ def run_matrix(config_path, out_dir) -> Path:
         verdict = None
         try:
             if use_oracle:
-                verdict, records, planner, _ = verify_manifest(manifest, tile_tables)
+                verdict, records, planner, _ = verify_manifest(manifest)
             else:
                 records, planner, _ = run_from_manifest(manifest)
         except Exception as exc:  # noqa: BLE001 - isolate per-run crashes
@@ -362,27 +362,28 @@ def run_matrix(config_path, out_dir) -> Path:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _tile_table(width: int, height: int) -> dict[bytes, int]:
+    """The exhaustive optimum table of one board size of at most 9 cells,
+    built once per process."""
+    return tile_goal_distances(width, height)
+
+
 def verify_manifest(
     manifest: RunManifest,
-    tile_tables: Optional[dict[tuple[int, int], dict[bytes, int]]] = None,
 ) -> tuple[Verdict, list[SolutionRecord], Planner, Optional[float]]:
     """Replay a manifest with logging and check it against the oracle.
 
-    The optimum of a board of at most 9 cells is looked up in one exhaustive
-    table per board size, built on first use and kept in `tile_tables` when
-    given; every other instance runs the Dijkstra oracle on the run's domain.
-    Every record's path is replayed through that domain as well. Returns the
-    verdict, the replay's records and planner, and the optimum (None when
-    the oracle gave up at `ORACLE_CAP` settled states).
+    The optimum of a board of at most 9 cells is looked up in the exhaustive
+    table of its size; every other instance runs the Dijkstra oracle on the
+    run's domain. Every record's path is replayed through that domain as
+    well. Returns the verdict, the replay's records and planner, and the
+    optimum (None when the oracle gave up at `ORACLE_CAP` settled states).
     """
     records, planner, domain = run_from_manifest(manifest, record_expansions=True)
     board = parse_instance_line(manifest.board) if manifest.domain == "tiles" else None
     if board is not None and board.width * board.height <= 9:
-        tables = {} if tile_tables is None else tile_tables
-        size = (board.width, board.height)
-        if size not in tables:
-            tables[size] = tile_goal_distances(*size)
-        optimal = tables[size].get(bytes(board.tiles), math.inf)
+        optimal = _tile_table(board.width, board.height).get(bytes(board.tiles), math.inf)
     else:
         optimal = uniform_cost_optimal(domain)
     verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo, domain)

@@ -35,7 +35,16 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
 
 
 def _report(args, manifest: RunManifest, describe_path) -> int:
+    """Run a manifest and print its records. `--out` gets the manifest before
+    the run, as in a bench, so a run that publishes nothing can be replayed,
+    and the curve after it."""
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.txt").write_text(manifest.to_text())
     records, planner, domain = bench.run_from_manifest(manifest)
+    if out is not None:
+        (out / "curve.csv").write_text(curve_csv(records))
     for rec in records:
         print(
             f"t={rec.elapsed:.6f}s cost={rec.cost} bound={rec.bound:g} "
@@ -49,11 +58,6 @@ def _report(args, manifest: RunManifest, describe_path) -> int:
     if args.print_path:
         for line in describe_path(domain, records[-1].path):
             print(line)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.txt").write_text(manifest.to_text())
-        (out / "curve.csv").write_text(curve_csv(records))
     return 0
 
 

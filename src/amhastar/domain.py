@@ -26,12 +26,6 @@ class StateInterner:
         self._ids: dict[Hashable, int] = {}
         self._keys: list[Hashable] = []
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._ids
-
     def intern(self, key: Hashable) -> int:
         sid = self._ids.get(key)
         if sid is None:

@@ -153,9 +153,6 @@ class OccupancyGrid:
             return bool(self.cells[y * w + x])
         return True
 
-    def set_obstacle(self, x: int, y: int, value: bool = True) -> None:
-        self.cells[y * self.width + x] = 1 if value else 0
-
 
 @dataclass(frozen=True)
 class MotionPrimitive:
@@ -664,9 +661,9 @@ class LatticeDomain(SearchDomain):
     euclidean value (fallbacks are counted in `fallback_lookups`).
 
     Collision checks read the map's collision maps, computed once per map
-    content and set of swept cells at construction: later `grid.set_obstacle`
-    calls are not seen. `successors` looks up, per chunk of up to 8 of the
-    heading's primitives, the cell's byte in a table of the free
+    content and set of swept cells at construction: later changes to
+    `grid.cells` are not seen. `successors` looks up, per chunk of up to 8
+    of the heading's primitives, the cell's byte in a table of the free
     primitives' successors, in primitive order. `primitives` is the pair
     `load_primitives` returns, None the shipped set.
     """
@@ -693,7 +690,7 @@ class LatticeDomain(SearchDomain):
         # The mask cell under the farthest vertex is then off the map at every pose.
         if reach > diagonal:
             raise ValueError(f"footprint reaches {reach:g} m from the pose, beyond the "
-                             f"map diagonal of {diagonal:.1f} m: every pose collides")
+                             f"map diagonal of {diagonal:g} m: every pose collides")
         masks = [
             footprint_cell_mask(self.footprint, grid.resolution, num_headings, t)
             for t in range(num_headings)

@@ -40,9 +40,6 @@ class AddressableHeap:
     def __len__(self) -> int:
         return len(self._live)
 
-    def __contains__(self, sid: int) -> bool:
-        return sid in self._live
-
     def members(self):
         """Ids currently queued, in no particular order."""
         return self._live.keys()
@@ -60,10 +57,6 @@ class AddressableHeap:
         if not heap:
             raise IndexError("top of empty heap")
         return heap[0][2]
-
-    def key_of(self, sid: int) -> float:
-        """Stored key for a queued id (KeyError if absent)."""
-        return self._live[sid][0]
 
     def insert_or_update(self, sid: int, key: float, g: float) -> None:
         entry = (key, -g, sid)

@@ -12,8 +12,8 @@ re-expansion is capped at two (inadmissible then anchor).
 
 The baselines are modes of the same loop, chosen by PlannerConfig(algo=...)
 and run by Planner(domain, config).run(): `ara` (single queue, anytime on
-w1), `mha` (one-shot, stops after the first publish), `wastar` (single
-queue, one-shot) and `astar` (wastar at weight 1).
+w1; at w1 = 1 it is optimal A*), `mha` (one-shot, stops after the first
+publish) and `wastar` (single queue, one-shot, reopens closed states).
 """
 from __future__ import annotations
 
@@ -29,12 +29,12 @@ from .heap import AddressableHeap
 
 INF = math.inf
 
-MODES = ("amha", "mha", "ara", "wastar", "astar")
-SINGLE_QUEUE_MODES = ("ara", "wastar", "astar")
-ONE_SHOT_MODES = ("mha", "wastar", "astar")
+MODES = ("amha", "mha", "ara", "wastar")
+SINGLE_QUEUE_MODES = ("ara", "wastar")
+ONE_SHOT_MODES = ("mha", "wastar")
 # Textbook weighted A* reopens a closed state when its cost improves; the
 # anytime modes instead park it in INCONS until the next iteration.
-REOPENING_MODES = ("wastar", "astar")
+REOPENING_MODES = ("wastar",)
 
 
 class Outcome(enum.Enum):
@@ -169,7 +169,7 @@ class Planner:
     def initialize(self) -> None:
         """Set weights, seed g(start)=0 / goal cost +inf, queue the start."""
         cfg = self._cfg
-        self._w1 = 1.0 if cfg.algo == "astar" else float(cfg.w1)
+        self._w1 = float(cfg.w1)
         self._w2 = 1.0 if cfg.algo in SINGLE_QUEUE_MODES else float(cfg.w2)
         start = self._domain.start()
         self._g[start] = 0

@@ -1,4 +1,5 @@
-"""Post-hoc verification of a run against its theoretical guarantees."""
+"""Post-hoc verification of a run of any of the planner's four modes against
+its theoretical guarantees."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -35,12 +36,12 @@ def verify_run(
     - path (when the run's `domain` is given): every record's path starts at
       `domain.start()`, ends on a goal, and steps only along `successors`
       edges whose least costs sum to the record's cost.
-    - suboptimality-bound: every record's cost is at most bound * oracle_cost
-      (skipped when the oracle is unavailable).
+    - suboptimality-bound: every record's cost is at least oracle_cost and at
+      most bound * oracle_cost (skipped when the oracle is unavailable).
     - expansion-limit: within each improve-path iteration no state is expanded
       more than twice, and a second expansion is anchor-after-inadmissible
-      (skipped for the planner's `algo` when it reopens closed states by
-      design, as `wastar` and `astar` do).
+      (skipped for `wastar`, the one mode that reopens closed states by
+      design).
     - monotonicity: published costs and bounds never increase.
     """
     verdict = Verdict()
@@ -62,7 +63,12 @@ def verify_run(
                 verdict.fail(f"path: record {k} cost {rec.cost} but its edges sum to {cost}")
     if oracle_cost is not None:
         for k, rec in enumerate(records):
-            if rec.cost > rec.bound * oracle_cost:
+            if rec.cost < oracle_cost:
+                verdict.fail(
+                    f"suboptimality-bound: record {k} cost {rec.cost} is below "
+                    f"optimal {oracle_cost}"
+                )
+            elif rec.cost > rec.bound * oracle_cost:
                 verdict.fail(
                     f"suboptimality-bound: record {k} cost {rec.cost} exceeds "
                     f"bound {rec.bound} * optimal {oracle_cost}"

@@ -1,7 +1,8 @@
 """Shared test code: an explicit graph domain, small grids as explicit
-graphs, the planner run in lockstep with its specification, the reference
-field sweeps, closed forms and breadth-first distances, tile moves on
-boards, and a primitive-file writer."""
+graphs, obstacles set on a map, the keys an open queue holds, the planner
+run in lockstep with its specification, the reference field sweeps, closed
+forms and breadth-first distances, tile moves on boards, and a
+primitive-file writer."""
 from __future__ import annotations
 
 import heapq
@@ -108,6 +109,17 @@ def grid_domain(width, height, start, goal, walls=(), n_inadmissible=1, inad_sca
     return ExplicitGraphDomain(edges, start, goal, heuristics=tables)
 
 
+def set_obstacle(grid, x: int, y: int, value: bool = True) -> None:
+    """Mark cell (x, y) of an `OccupancyGrid` blocked, or free with `value`
+    False."""
+    grid.cells[y * grid.width + x] = 1 if value else 0
+
+
+def queue_keys(queue) -> dict[int, float]:
+    """The key of each id an `AddressableHeap` holds, from its live entries."""
+    return {sid: entry[0] for sid, entry in queue._live.items()}
+
+
 def lockstep_difference(domain: SearchDomain, config: PlannerConfig) -> Optional[str]:
     """Run `config` over `domain` on the virtual clock with `Planner` and
     with the specification in `spec_amha`. None when both make the same
@@ -124,7 +136,7 @@ def lockstep_difference(domain: SearchDomain, config: PlannerConfig) -> Optional
         ("expansion_log", planner.expansion_log, spec.expansion_log),
         ("records", records, spec.records),
         ("outcome", planner.outcome.value, spec.outcome),
-        ("queues", [{sid: q.key_of(sid) for sid in q.members()} for q in planner.open_queues],
+        ("queues", [queue_keys(q) for q in planner.open_queues],
          [{sid: key for key, _, sid in q} for q in spec.open]),
         ("g", {sid: planner.g(sid) for sid in spec.g}, spec.g),
         ("closed_anchor", planner.closed_anchor, spec.closed_anchor),

@@ -1,4 +1,4 @@
-"""An executable specification of the planner's five modes.
+"""An executable specification of the planner's four modes.
 
 A-MHA* is MHA* with one shared g (Aine et al., "Multi-Heuristic A*", IJRR
 2016, the shared variant SMHA*) run inside the iterations, INCONS set and
@@ -63,20 +63,20 @@ class Spec:
     - `amha`: anchor queue 0 plus one queue per inadmissible heuristic,
       anytime on w1 and w2;
     - `mha`: the same, stopped after its first publish;
-    - `ara`: the anchor alone, anytime on w1 (w2 held at 1);
+    - `ara`: the anchor alone, anytime on w1 (w2 held at 1); at w1 = 1 it
+      is optimal A*;
     - `wastar`: the anchor alone, one publish, and a closed state whose g
-      improves is queued again instead of parked in INCONS;
-    - `astar`: `wastar` with w1 held at 1.
+      improves is queued again instead of parked in INCONS.
     """
 
     def __init__(self, domain, algo="amha", w1=1.0, w2=1.0, dw1=1.0, dw2=1.0,
                  time_limit=INF, tick=1e-4):
         self.domain = domain
-        single = algo in ("ara", "wastar", "astar")
+        single = algo in ("ara", "wastar")
         self.n = 0 if single else domain.num_inadmissible
-        self.reopen = algo in ("wastar", "astar")
-        self.one_shot = algo in ("mha", "wastar", "astar")
-        self.w1_init = 1.0 if algo == "astar" else float(w1)
+        self.reopen = algo == "wastar"
+        self.one_shot = algo in ("mha", "wastar")
+        self.w1_init = float(w1)
         self.w2_init = 1.0 if single else float(w2)
         self.dw1, self.dw2 = dw1, dw2
         self.time_limit, self.tick = time_limit, tick

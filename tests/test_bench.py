@@ -260,13 +260,22 @@ def test_verify_manifest_passes_for_honest_run():
     assert verdict.passed, verdict.failures
 
 
-def test_verify_manifest_keeps_tile_tables_in_the_given_dict():
-    tables = {}
-    verdict, records, _, optimal = verify_manifest(tile_manifest(seed=11), tile_tables=tables)
-    assert list(tables) == [(3, 3)] and optimal == records[-1].cost
-    table = tables[(3, 3)]
-    verify_manifest(tile_manifest(seed=12), tile_tables=tables)
-    assert tables == {(3, 3): table} and tables[(3, 3)] is table
+def test_verify_manifest_builds_each_tile_table_once(monkeypatch):
+    from amhastar import bench
+
+    sizes = []
+    build = bench.tile_goal_distances
+
+    def counted_build(*size):
+        sizes.append(size)
+        return build(*size)
+
+    monkeypatch.setattr(bench, "tile_goal_distances", counted_build)
+    bench._tile_table.cache_clear()
+    _, records, _, optimal = verify_manifest(tile_manifest(seed=11))
+    assert optimal == records[-1].cost
+    verify_manifest(tile_manifest(seed=12))
+    assert sizes == [(3, 3)]
 
 
 def test_verify_manifest_runs_the_oracle_on_the_runs_own_domain(monkeypatch):
@@ -371,6 +380,8 @@ def test_from_values_coerces_by_field_type():
     (dict(out="elsewhere"), r"^unknown manifest keys: \['out'\]$"),
     (dict(n_heur="-1"), r"^n_heur = -1: expected >= 0$"),
     (dict(domain="grid"), r"^bench config needs map = <file> for domain grid$"),
+    (dict(algos="astar"),
+     r"^algos = 'astar': unknown modes \['astar'\], expected some of amha, mha, ara, wastar$"),
 ])
 def test_bad_config_is_rejected_before_any_run(tmp_path, change, message):
     board = format_instance_line(random_solvable_board(3, 3, seed=1))

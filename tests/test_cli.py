@@ -1,4 +1,5 @@
 """CLI surface: each subcommand end to end via main()."""
+import re
 import shlex
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (["verify"], dict(map=""), "map = '': [Errno 2] No such file or directory: ''"),
     (["verify"], dict(start="3 x 0"), "start = '3 x 0': expected 3 integers"),
     (["verify"], dict(algo="amah"),
-     "algo = 'amah': expected one of amha, mha, ara, wastar, astar"),
+     "algo = 'amah': expected one of amha, mha, ara, wastar"),
     (["verify"], dict(domain="foo"), "domain = 'foo': expected tiles or grid"),
     *[(YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", f], None,
        f"footprint = '{f}': expected rect:LxW, two finite positive lengths")
@@ -76,7 +77,7 @@ def test_solve_grid_bad_start_names_the_flag(capsys):
     (YARD + ["--start", "3 15 0", "--goal", "26 15 16"], None,
      "goal heading outside the configured fan"),
     (YARD + ["--start", "3 15 0", "--goal", "26 15", "--footprint", "rect:50x1"], None,
-     "footprint reaches 25.005 m from the pose, beyond the map diagonal of 21.2 m"),
+     "footprint reaches 25.005 m from the pose, beyond the map diagonal of 21.2132 m"),
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", flag, "inf"], None,
        f"{key} = inf: expected finite") for flag, key in (("--w1", "w1"), ("--w2", "w2"))],
     *[(["solve-tiles", "--board", "3 3 1 2 3 4 5 6 7 0 8", *flags], None, message)
@@ -145,18 +146,26 @@ def test_unset_solve_flags_take_the_manifest_defaults(tmp_path):
     assert (tmp_path / "manifest.txt").read_text() == expected.to_text()
 
 
-def test_no_solution_exit_code(capsys):
-    # A board wrapped in walls: goal heading constraint impossible to meet is
-    # awkward to build; instead use a tile board that is one move away but a
-    # virtual budget of zero.
-    board = format_instance_line(random_solvable_board(3, 3, seed=12))
-    code = main([
-        "solve-tiles", "--board", board, "--clock", "virtual",
-        "--time-limit", "0",
-    ])
-    out = capsys.readouterr().out
+def test_no_solution_exit_code(capsys, tmp_path):
+    # A virtual budget of zero publishes nothing. `--out` gets the manifest
+    # before the run, so the run can still be replayed.
+    out = tmp_path / "nosol"
+    code = main(["solve-tiles", "--seed", "3", "--clock", "virtual", "--time-limit", "0",
+                 "--out", str(out)])
     assert code == 2
-    assert "no solution" in out
+    assert capsys.readouterr().out.splitlines()[-1] == "no solution published"
+    assert (out / "curve.csv").read_text() == "t_s,cost,bound\n"
+    assert main(["verify", "--manifest", str(out / "manifest.txt")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["records: 0  expansions: 1", "PASS"]
+
+
+def test_algo_choices_are_the_four_modes(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve-tiles", "--seed", "1", "--algo", "astar"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'astar'" in err
+    assert re.findall(r"\w+", err.split("choose from", 1)[1]) == ["amha", "mha", "ara", "wastar"]
 
 
 def test_bench_and_verify_round_trip(capsys, tmp_path):

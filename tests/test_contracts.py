@@ -16,6 +16,10 @@ def test_config_validation():
         PlannerConfig(dw1=0.0)
     with pytest.raises(ValueError):
         PlannerConfig(algo="sideways")
+    # No `astar` mode: `ara` at w1 = 1 is optimal A*.
+    with pytest.raises(ValueError, match=r"^algo = 'astar': expected one of amha, mha, ara, "
+                                         r"wastar$"):
+        PlannerConfig(algo="astar")
     with pytest.raises(ValueError):
         PlannerConfig(clock="sundial")
     with pytest.raises(ValueError, match=r"^dw2 = 1e-16: expected >= 4.4408920985006262e-16, "
@@ -31,7 +35,7 @@ def test_interner_is_stable_and_dense():
     assert interner.intern(("x", 1)) == a
     assert (a, b) == (0, 1)
     assert interner.key_of(b) == ("x", 2)
-    assert ("x", 2) in interner and ("x", 3) not in interner
+    assert interner.intern(("x", 3)) == 2
 
 
 def test_successor_failure_aborts_run():

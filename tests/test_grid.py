@@ -30,7 +30,7 @@ from amhastar.grid import (
 )
 from amhastar.oracle import uniform_cost_optimal
 from helpers import (octile_distance, reference_clearance_field, reference_dijkstra_field,
-                     reference_padded_sweep, save_primitives)
+                     reference_padded_sweep, save_primitives, set_obstacle)
 
 INF = math.inf
 SMALL = RobotFootprint(0.6, 0.4)
@@ -47,15 +47,15 @@ def shipped(name):
 
 def test_map_text_round_trip():
     g = OccupancyGrid.empty(5, 4, 0.5)
-    g.set_obstacle(2, 1)
-    g.set_obstacle(4, 3)
+    set_obstacle(g, 2, 1)
+    set_obstacle(g, 4, 3)
     again = OccupancyGrid.parse(g.to_text())
     assert (again.width, again.height, again.resolution) == (5, 4, 0.5)
     assert again.cells == g.cells
     rng = random.Random(5)
     g = OccupancyGrid.empty(37, 23, 0.25)
     for _ in range(300):
-        g.set_obstacle(rng.randrange(37), rng.randrange(23))
+        set_obstacle(g, rng.randrange(37), rng.randrange(23))
     text = g.to_text()
     assert OccupancyGrid.parse(text).cells == g.cells
     assert text.splitlines()[1:] == [
@@ -250,7 +250,7 @@ def test_collision_trivial_cases():
     g = OccupancyGrid.empty(9, 9)
     tiny = RobotFootprint(0.02, 0.02)
     assert not footprint_collides(g, (4, 4, 0), tiny)
-    g.set_obstacle(4, 4)
+    set_obstacle(g, 4, 4)
     assert footprint_collides(g, (4, 4, 0), RobotFootprint(1.0, 1.0))
 
 
@@ -311,7 +311,7 @@ def test_blocked_corridor_cuts_off_far_side():
     g = OccupancyGrid.empty(11, 7)
     for y in range(7):
         if y != 3:
-            g.set_obstacle(5, y)
+            set_obstacle(g, 5, y)
     field = dijkstra_field(g, (1, 3), block_radius=1.5)
     assert all(field[y * 11 + x] == INF for y in range(7) for x in range(7, 11)
                if not g.is_obstacle(x, y))
@@ -321,7 +321,7 @@ def test_blocked_corridor_cuts_off_far_side():
 
 def test_blocked_goal_warns_and_returns_all_inf():
     g = OccupancyGrid.empty(6, 6)
-    g.set_obstacle(3, 2)
+    set_obstacle(g, 3, 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         field = dijkstra_field(g, (3, 3), block_radius=1.5)
@@ -394,7 +394,7 @@ def _random_field_grid(rng, width, height, resolution):
         for x in range(width):
             border = x in (0, width - 1) or y in (0, height - 1)
             if rng.random() < (0.5 if border else 0.15):
-                g.set_obstacle(x, y)
+                set_obstacle(g, x, y)
     return g
 
 
@@ -463,7 +463,7 @@ def test_clearance_equals_reference_sweep_exactly():
                 for y in range(height):
                     for x in range(width):
                         if rng.random() < density:
-                            g.set_obstacle(x, y)
+                            set_obstacle(g, x, y)
                 grids.append(g)
         for g in grids:
             w, h = g.width, g.height
@@ -638,7 +638,7 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     assert all(m2 is m1 for m2, m1 in zip(_collision_bytes(dom2), _collision_bytes(dom1)))
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
-    changed.set_obstacle(10, 17)
+    set_obstacle(changed, 10, 17)
     dom3 = LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
     assert grid_mod._blocked_mask.cache_info().misses == 6
     assert calls == []  # no build sweeps a clearance field
@@ -655,7 +655,7 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     before = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
     cell = 8 * g.width + 9
     assert all(f[cell] < INF for f in before.fields)
-    g.set_obstacle(9, 8)
+    set_obstacle(g, 9, 8)
     after = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
     assert grid_mod._blocked_mask.cache_info().misses == 6
     assert calls == []
@@ -696,7 +696,7 @@ def test_primitive_sweeping_obstacle_is_omitted():
     # Tiny footprint: only the swept cells themselves matter, and the middle
     # of the sweep is blocked.
     g = OccupancyGrid.empty(9, 9)
-    g.set_obstacle(5, 4)
+    set_obstacle(g, 5, 4)
     tiny = RobotFootprint(0.02, 0.02)
     prim = MotionPrimitive(0, 0, 2000, ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
     dom = LatticeDomain(g, (4, 4, 0), (8, 4), primitives=([prim], 16), footprint=tiny)
@@ -811,16 +811,28 @@ def test_planner_state_tables_hold_only_reached_states():
 
 def test_start_in_collision_is_rejected():
     g = OccupancyGrid.empty(9, 9)
-    g.set_obstacle(4, 4)
+    set_obstacle(g, 4, 4)
     with pytest.raises(ValueError):
         LatticeDomain(g, (4, 4, 0), (8, 8), footprint=SMALL)
 
 
 def test_obstructed_goal_cell_is_rejected():
     g = OccupancyGrid.empty(9, 9)
-    g.set_obstacle(8, 8)
+    set_obstacle(g, 8, 8)
     with pytest.raises(ValueError):
         LatticeDomain(g, (1, 1, 0), (8, 8), footprint=SMALL)
+
+
+@pytest.mark.parametrize("width, height, diagonal", [
+    (2, 2, "0.0848528"),
+    (1, 1, "0.0424264"),
+    (20, 1, "0.60075"),
+])
+def test_footprint_beyond_the_map_diagonal_prints_the_diagonal(width, height, diagonal):
+    g = OccupancyGrid.empty(width, height, 0.03)
+    with pytest.raises(ValueError, match=rf"^footprint reaches 0\.707107 m from the pose, "
+                                         rf"beyond the map diagonal of {diagonal} m: "):
+        LatticeDomain(g, (0, 0, 0), (0, 0), footprint=RobotFootprint(1.0, 1.0))
 
 
 def test_goal_heading_constraint():
@@ -856,7 +868,7 @@ def _random_border_grid(rng, width, height, resolution):
         for x in range(width):
             edge = min(x, y, width - 1 - x, height - 1 - y)
             if rng.random() < (0.3 if edge <= 1 else 0.1):
-                g.set_obstacle(x, y)
+                set_obstacle(g, x, y)
     return g
 
 
@@ -942,7 +954,7 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
         prims = _unit_primitives(num_headings)
     start = (width // 2, height // 2, 0)
     for dx, dy in footprint_cell_mask(footprint, resolution, num_headings, 0):
-        grid.set_obstacle(start[0] + dx, start[1] + dy, False)
+        set_obstacle(grid, start[0] + dx, start[1] + dy, False)
     goal = next((x, y) for y in range(height) for x in range(width) if not grid.is_obstacle(x, y))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a goal cell too narrow for a field
@@ -986,7 +998,7 @@ def _sparse_grid(seed):
     for y in range(g.height):
         for x in range(g.width):
             if rng.random() < 0.01:
-                g.set_obstacle(x, y)
+                set_obstacle(g, x, y)
     return g
 
 
@@ -1003,7 +1015,7 @@ def test_collision_maps_agree_with_reference(source):
     footprint = RobotFootprint(1.2, 0.8)
     start = (grid.width // 2, grid.height // 2, 0)
     for dx, dy in footprint_cell_mask(footprint, grid.resolution, 16, 0):
-        grid.set_obstacle(start[0] + dx, start[1] + dy, False)
+        set_obstacle(grid, start[0] + dx, start[1] + dy, False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a goal cell too narrow for a field
         dom = LatticeDomain(grid, start, (start[0], start[1]), footprint=footprint)

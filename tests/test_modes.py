@@ -4,10 +4,14 @@ import math
 import random
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import amhastar
 from amhastar import Outcome, Planner, PlannerConfig
+from amhastar.grid import LatticeDomain, OccupancyGrid, RobotFootprint, load_scenarios
+from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
 from amhastar.planner import _scheduled_weight
 from amhastar.tiles import (TilePuzzleDomain, draw_weights, manhattan_distance,
                             random_solvable_board)
@@ -17,9 +21,11 @@ from helpers import (ExplicitGraphDomain, grid_domain, grid_graph, lockstep_diff
                      tile_successors)
 
 INF = math.inf
+MAPS = Path(amhastar.__file__).parent / "data" / "maps"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def astar_manhattan_cost(board):
+def reference_optimal_cost(board):
     """Independent plain A* over boards with the Manhattan heuristic."""
     counter = 0
     heap = [(manhattan_distance(board), counter, board, 0)]
@@ -115,7 +121,7 @@ def test_eight_puzzle_final_record_is_optimal():
     dom = TilePuzzleDomain(board, draw_weights(2, 11))
     records = Planner(dom, PlannerConfig(algo="amha", w1=3.0, w2=2.0)).run()
     assert records[-1].bound == 1.0
-    assert records[-1].cost == astar_manhattan_cost(board)
+    assert records[-1].cost == reference_optimal_cost(board)
 
 
 def test_records_published_even_when_cost_is_unchanged():
@@ -144,7 +150,7 @@ def test_a_huge_finite_w2_publishes_and_converges():
     records = planner.run()
     assert planner.outcome is Outcome.GOAL_BOUND_PROVEN
     assert [r.bound for r in records] == [1e307, 1.0]
-    assert records[-1].cost == astar_manhattan_cost(board) == 25
+    assert records[-1].cost == reference_optimal_cost(board) == 25
 
 
 def test_a_huge_finite_w1_publishes_and_converges():
@@ -200,7 +206,7 @@ def test_ara_with_unit_weight_is_optimal():
 def test_ara_first_solution_within_initial_bound():
     board = random_solvable_board(3, 3, seed=3)
     dom = TilePuzzleDomain(board, [])
-    optimal = astar_manhattan_cost(board)
+    optimal = reference_optimal_cost(board)
     records = Planner(dom, PlannerConfig(algo="ara", w1=3.0, dw1=1.0)).run()
     assert records[0].cost <= 3.0 * optimal
     assert records[0].bound == 3.0
@@ -242,7 +248,7 @@ def test_oneshot_with_unit_weights_is_optimal():
     board = random_solvable_board(3, 3, seed=8)
     dom = TilePuzzleDomain(board, draw_weights(2, 8))
     records = Planner(dom, PlannerConfig(algo="mha", w1=1.0, w2=1.0)).run()
-    assert records[0].cost == astar_manhattan_cost(board)
+    assert records[0].cost == reference_optimal_cost(board)
 
 
 def test_oneshot_publishes_exactly_one_record_with_flat_bound():
@@ -253,11 +259,33 @@ def test_oneshot_publishes_exactly_one_record_with_flat_bound():
     assert records[0].bound == 25.0
 
 
-def test_astar_ignores_configured_weights():
+def test_ara_at_w1_1_publishes_one_optimal_record():
     dom = grid_domain(5, 5, (0, 0), (4, 4))
-    records = Planner(dom, PlannerConfig(algo="astar", w1=9.0, w2=9.0)).run()
+    records = Planner(dom, PlannerConfig(algo="ara", w1=1.0, w2=9.0)).run()
+    assert len(records) == 1
     assert records[0].bound == 1.0
     assert records[0].cost == 8
+
+
+def test_ara_at_w1_1_is_optimal_on_the_yard30_scenarios():
+    grid = OccupancyGrid.load(MAPS / "yard30.map")
+    for start, goal in load_scenarios(CONFIGS / "yard30.scen"):
+        dom = LatticeDomain(grid, start, goal, footprint=RobotFootprint(0.6, 0.4))
+        records = Planner(dom, PlannerConfig(algo="ara", w1=1.0)).run()
+        assert [r.bound for r in records] == [1.0]
+        assert records[0].cost == uniform_cost_optimal(dom)
+
+
+def test_ara_at_w1_1_is_optimal_on_8_puzzles():
+    # The exhaustive table is the 8-puzzle oracle of `amhastar verify`; the
+    # Dijkstra oracle takes about 0.4 s per board.
+    optimal = tile_goal_distances(3, 3)
+    for seed in range(20):
+        board = random_solvable_board(3, 3, seed=seed)
+        dom = TilePuzzleDomain(board, draw_weights(2, seed))
+        records = Planner(dom, PlannerConfig(algo="ara", w1=1.0)).run()
+        assert [r.bound for r in records] == [1.0]
+        assert records[0].cost == optimal[bytes(board.tiles)]
 
 
 def test_wastar_degeneracy_matches_multi_heuristic_run():

@@ -77,6 +77,12 @@ def test_verify_flags_bound_violation():
     assert any(f.startswith("suboptimality-bound") for f in verdict.failures)
 
 
+def test_verify_flags_a_cost_below_the_optimum():
+    records = [record(9, 2.0), record(7, 1.0)]
+    verdict = verify_run(records, oracle_cost=8)
+    assert verdict.failures == ["suboptimality-bound: record 1 cost 7 is below optimal 8"]
+
+
 def test_verify_flags_triple_expansion():
     records = [record(10, 2.0)]
     log = [[(5, 1), (5, 0), (5, 0)]]
@@ -114,13 +120,13 @@ def test_verify_skips_bound_check_without_oracle():
 def test_reopening_modes_skip_only_the_expansion_limit():
     log = [[(5, 0), (5, 0)]]  # one state expanded twice from the anchor
     assert not verify_run([record(10, 2.0)], 10, log).passed
-    assert not verify_run([record(10, 2.0)], 10, log, algo="amha").passed
-    for algo in ("wastar", "astar"):
-        assert verify_run([record(10, 2.0)], 10, log, algo=algo).passed
-        over = verify_run([record(21, 2.0)], 10, log, algo=algo)
-        assert [f.split(":")[0] for f in over.failures] == ["suboptimality-bound"]
-        rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, algo=algo)
-        assert [f.split(":")[0] for f in rising.failures] == ["monotonicity"]
+    for algo in ("amha", "mha", "ara"):
+        assert not verify_run([record(10, 2.0)], 10, log, algo=algo).passed
+    assert verify_run([record(10, 2.0)], 10, log, algo="wastar").passed
+    over = verify_run([record(21, 2.0)], 10, log, algo="wastar")
+    assert [f.split(":")[0] for f in over.failures] == ["suboptimality-bound"]
+    rising = verify_run([record(10, 3.0), record(11, 2.0)], 10, log, algo="wastar")
+    assert [f.split(":")[0] for f in rising.failures] == ["monotonicity"]
 
 
 # -- published paths, replayed through the run's domain -------------------------

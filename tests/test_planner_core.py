@@ -12,7 +12,7 @@ import pytest
 from amhastar import Outcome, Planner, PlannerConfig
 from amhastar.tiles import TilePuzzleDomain, draw_weights, random_solvable_board
 
-from helpers import ExplicitGraphDomain, grid_domain, grid_graph
+from helpers import ExplicitGraphDomain, grid_domain, grid_graph, queue_keys
 
 INF = math.inf
 
@@ -93,8 +93,8 @@ def test_expand_discovers_successor():
     planner.expand(a, 0)
     assert planner.g(b) == 4
     assert planner.parent(b) == a
-    assert b in planner.open_queues[0]
-    assert b in planner.open_queues[1]  # key(b,1)=5 <= w2*key(b,0)=8
+    assert b in planner.open_queues[0].members()
+    assert b in planner.open_queues[1].members()  # key(b,1)=5 <= w2*key(b,0)=8
 
 
 def test_expand_improvement_of_anchor_closed_state_goes_to_incons():
@@ -112,7 +112,7 @@ def test_expand_improvement_of_anchor_closed_state_goes_to_incons():
     planner.expand(b, 0)
     assert planner.g(d) == 8
     assert d in planner.incons
-    assert all(d not in q for q in planner.open_queues)
+    assert all(d not in q.members() for q in planner.open_queues)
 
 
 def test_expand_ignores_non_improving_edge():
@@ -139,8 +139,8 @@ def test_expand_on_chain_matches_independent_dijkstra():
     ref = dijkstra_all(edges, "a")
     assert planner.g(b) == ref["b"] == 1
     # h == 0 everywhere, so key(b,1) == key(b,0): b sits in both queues.
-    assert b in planner.open_queues[0] and b in planner.open_queues[1]
-    assert planner.open_queues[0].key_of(b) == planner.open_queues[1].key_of(b)
+    keys0, keys1 = (queue_keys(q) for q in planner.open_queues)
+    assert b in keys0 and keys0[b] == keys1[b]
 
 
 # -- improve_path -----------------------------------------------------------
@@ -221,10 +221,10 @@ def test_reconcile_rekeys_with_new_weight():
     planner.initialize()
     a, b = dom.id_of("a"), dom.id_of("b")
     planner.expand(a, 0)
-    assert planner.open_queues[0].key_of(b) == 1 + 4.0 * 2.0
+    assert queue_keys(planner.open_queues[0])[b] == 1 + 4.0 * 2.0
     planner._w1 = 2.0  # halve the inflation between iterations
     planner.reconcile_queues()
-    assert planner.open_queues[0].key_of(b) == 1 + 2.0 * 2.0
+    assert queue_keys(planner.open_queues[0])[b] == 1 + 2.0 * 2.0
 
 
 # -- extract_path ---------------------------------------------------------------

@@ -183,11 +183,16 @@ def test_budget_abort_leaves_consistent_records(trial):
         assert rec.cost <= rec.bound * optimal
 
 
-@pytest.mark.parametrize("algo", MODES)
+# Each mode at the trial's weights, and `ara` at w1 = 1: optimal A*.
+LOCKSTEP_RUNS = {**{algo: dict(algo=algo) for algo in MODES},
+                 "ara-w1-1": dict(algo="ara", w1=1.0)}
+
+
+@pytest.mark.parametrize("run", LOCKSTEP_RUNS)
 @pytest.mark.parametrize("trial", range(40))
-def test_planner_runs_in_lockstep_with_the_spec(trial, algo):
+def test_planner_runs_in_lockstep_with_the_spec(trial, run):
     for dom, cfg in lockstep_cases(trial):
-        assert lockstep_difference(checked(dom), replace(cfg, algo=algo)) is None
+        assert lockstep_difference(checked(dom), replace(cfg, **LOCKSTEP_RUNS[run])) is None
 
 
 class _SmallerGFirstHeap(AddressableHeap):

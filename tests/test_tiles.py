@@ -229,7 +229,7 @@ def test_states_with_equal_triples_share_one_tuple():
     Planner(dom, PlannerConfig(algo="amha", w1=5.0, w2=2.0, clock="virtual",
                                tick=1.0, time_limit=2000)).run()
     by_triple = {}
-    for sid in range(len(dom._interner)):
+    for sid in range(len(dom._h)):
         by_triple.setdefault(dom._h[sid][-3:], []).append(sid)
     assert len(by_triple) < len(dom._h) // 10
     for a, *rest in by_triple.values():
@@ -252,8 +252,8 @@ def test_bytes_per_state_bounded():
         held, _ = tracemalloc.get_traced_memory()  # the planner's tables included
     finally:
         tracemalloc.stop()
-    assert len(dom._interner) > 30000
-    assert held / len(dom._interner) <= 450
+    assert len(dom._h) > 30000
+    assert held / len(dom._h) <= 450
 
 
 # -- solvability and generation ---------------------------------------------------
