@@ -12,7 +12,8 @@ algorithms x instances grid from a key=value config file and writes
   verdicts.txt  per-run guarantee checks, when an oracle is configured: each
                 published path replayed through the run's domain, and the
                 bounds against the optimum, which for a board of at most 9
-                cells comes from one exhaustive table per board size
+                cells comes from one exhaustive table per board size and
+                for a lattice from the pose-graph oracle
 
 Replays are byte-identical when the manifest uses the virtual clock; wall
 clock timings vary by nature.
@@ -29,10 +30,10 @@ from typing import Optional
 from .domain import SearchDomain, _line_error
 from .grid import (DEFAULT_FOOTPRINT, LatticeDomain, OccupancyGrid, RobotFootprint, load_primitives,
                    load_scenarios)
-from .oracle import tile_goal_distances, uniform_cost_optimal
+from .oracle import lattice_optimal, tile_goal_distances, uniform_cost_optimal
 from .planner import MODES, Planner, PlannerConfig, SolutionRecord
-from .tiles import (TilePuzzleDomain, draw_weights, format_instance_line, load_instances,
-                    parse_instance_line, weight_triples)
+from .tiles import (MAX_HEURISTICS, TilePuzzleDomain, draw_weights, format_instance_line,
+                    load_instances, parse_instance_line, weight_triples)
 from .verify import Verdict, verify_run
 
 SUMMARY_COLUMNS = (
@@ -75,6 +76,9 @@ class RunManifest:
     def __post_init__(self) -> None:
         if self.n_heur < 0:
             raise ValueError(f"n_heur = {self.n_heur}: expected >= 0")
+        if self.n_heur > MAX_HEURISTICS:
+            raise ValueError(f"n_heur = {self.n_heur}: expected at most "
+                             f"MAX_HEURISTICS = {MAX_HEURISTICS}")
         if self.domain == "tiles":
             # An empty `weights` is filled with `draw_weights(n_heur, seed)`, so
             # a saved manifest replays the exact run even if the drawing scheme
@@ -123,19 +127,24 @@ class RunManifest:
             return TilePuzzleDomain(board, _weight_triples(self.weights))
         if self.domain == "grid":
             grid = _parse_field("map", self.map, OccupancyGrid.load)
-            start = tuple(_ints("start", self.start, (3,)))
-            gx, gy, *gt = _ints("goal", self.goal, (2, 3))
-            goal = (gx, gy, gt[0] if gt else None)
+            start, goal = self.query()
             primitives = (None if self.primitives == "builtin16" else
                           _parse_field("primitives", self.primitives, load_primitives))
             return LatticeDomain(
                 grid,
-                start,  # type: ignore[arg-type]
+                start,
                 goal,
                 primitives=primitives,
                 footprint=_parse_field("footprint", self.footprint, parse_footprint),
             )
         raise ValueError(f"domain = {self.domain!r}: expected tiles or grid")
+
+    def query(self) -> tuple[tuple[int, int, int], tuple[int, int, Optional[int]]]:
+        """A grid manifest's start pose, and its goal cell and heading (None
+        for any)."""
+        start = tuple(_ints("start", self.start, (3,)))
+        gx, gy, *gt = _ints("goal", self.goal, (2, 3))
+        return start, (gx, gy, gt[0] if gt else None)  # type: ignore[return-value]
 
     def build_config(self, record_expansions: bool = False) -> PlannerConfig:
         """The run's PlannerConfig, whose fields share the manifest's keys; a
@@ -375,16 +384,23 @@ def verify_manifest(
     """Replay a manifest with logging and check it against the oracle.
 
     The optimum of a board of at most 9 cells is looked up in the exhaustive
-    table of its size; every other instance runs the Dijkstra oracle on the
-    run's domain. Every record's path is replayed through that domain as
-    well. Returns the verdict, the replay's records and planner, and the
-    optimum (None when the oracle gave up at `ORACLE_CAP` settled states).
+    table of its size, and a larger board's comes from the Dijkstra oracle
+    on the run's domain. A lattice's comes from the pose-graph oracle, which
+    shares no code with `LatticeDomain`: it reads the map, primitives and
+    footprint the domain was given, and the manifest's start and goal.
+    Every record's path is replayed through the run's domain as well.
+    Returns the verdict, the replay's records and planner, and the optimum
+    (None when the oracle gave up at `ORACLE_CAP` settled states).
     """
     records, planner, domain = run_from_manifest(manifest, record_expansions=True)
-    board = parse_instance_line(manifest.board) if manifest.domain == "tiles" else None
-    if board is not None and board.width * board.height <= 9:
-        optimal = _tile_table(board.width, board.height).get(bytes(board.tiles), math.inf)
+    if manifest.domain == "grid":
+        optimal = lattice_optimal(domain.grid, (domain.primitives, domain.num_headings),
+                                  domain.footprint, *manifest.query())
     else:
-        optimal = uniform_cost_optimal(domain)
+        board = parse_instance_line(manifest.board)
+        if board.width * board.height <= 9:
+            optimal = _tile_table(board.width, board.height).get(bytes(board.tiles), math.inf)
+        else:
+            optimal = uniform_cost_optimal(domain)
     verdict = verify_run(records, optimal, planner.expansion_log, manifest.algo, domain)
     return verdict, records, planner, optimal

@@ -5,10 +5,15 @@ sequences respecting a minimum turning radius) read from a `.mprim` file;
 the builtin set is the shipped `data/primitives/unicycle16.mprim`, loaded
 once per process. Collision checking places a rectangular footprint at
 every swept pose. Edge costs are the primitive arc lengths in integer
-milli-meters. The anchor heuristic is straight-line distance; three
-inadmissible heuristics are backward 8-connected Dijkstra fields over the
-plain grid and over the grid with narrow passages blocked at the
-footprint's inscribed and circumscribed radii.
+milli-meters. Three backward 8-connected Dijkstra fields are swept per
+goal: over the plain grid (F0) and over the grid with narrow passages
+blocked at the footprint's inscribed and circumscribed radii. The anchor
+heuristic is F0 / k, where k (`anchor_scale`) is the largest ratio, over
+the primitives, of the shortest 8-connected path inside a primitive's swept
+cells to its edge cost, widened by 1e-9 against rounding; it is consistent,
+since a collision-free edge sweeps only free cells. The two blocked fields
+are the inadmissible heuristics. Where a field is +inf, its heuristic falls
+back to straight-line distance.
 
 `LatticeDomain` reads collisions from collision maps, computed once per map
 for every cell, as lattice planners precompute each primitive's swept cells
@@ -429,6 +434,37 @@ def dijkstra_field(
     return _padded_sweep(tables, [goal_idx], w, h, 1000.0 * res)
 
 
+# Widens k, so that the sweeps' float rounding cannot make F0 / k inconsistent.
+ANCHOR_MARGIN = 1 + 1e-9
+
+
+@functools.lru_cache(maxsize=16)
+def anchor_scale(edges: tuple[tuple[tuple[tuple[int, int], ...], tuple[int, int], int], ...],
+                 straight: float) -> float:
+    """k, the largest `P_e / cost_e` over a lattice's primitives, each given
+    as its swept cell offsets, its end cell offset and its edge cost.
+
+    `P_e` is the shortest 8-connected path from the start cell to the end
+    cell inside the swept cells, swept as `dijkstra_field` sweeps, with
+    steps `straight` and `straight * sqrt(2)`. A collision-free edge sweeps
+    only free cells, so the radius-0 goal field F0 obeys `F0(a) <= P_e +
+    F0(b)` across it, and F0 / k is consistent. k depends only on the
+    primitives, the footprint masks and the resolution, not on the map.
+    """
+    k = 0.0
+    for swept, (ex, ey), cost in edges:
+        x0, y0 = min(x for x, _ in swept), min(y for _, y in swept)
+        w = max(x for x, _ in swept) - x0 + 1
+        h = max(y for _, y in swept) - y0 + 1
+        cells = bytearray(b"\x01") * (w * h)
+        for x, y in swept:
+            cells[(y - y0) * w + x - x0] = 0
+        tables = _sweep_tables(_padded(cells, w, h, 1), w + 2)
+        field = _padded_sweep(tables, [(1 - y0) * (w + 2) + 1 - x0], w, h, straight)
+        k = max(k, field[(ey - y0) * w + ex - x0] / cost)
+    return k
+
+
 def _sweep_tables(mask: bytes, stride: int) -> tuple[bytes, array, bytes]:
     """A padded mask with this stride and what `_padded_sweep` reads of it:
     its blocked cells as flat `start, end` pairs, one per maximal run of
@@ -652,13 +688,21 @@ def _collision_maps(width: int, height: int, cells: bytes,
 
 
 class LatticeDomain(SearchDomain):
-    """Motion-primitive navigation domain with a four-heuristic ensemble.
+    """Motion-primitive navigation domain with a three-heuristic ensemble.
 
-    Heuristic 0: euclidean distance to the goal cell, scaled to edge-cost
-    units. Heuristics 1..3: Dijkstra cost-to-goal fields over the grid with
-    passages blocked at radius 0 (zero-size robot), the footprint's inscribed
-    radius and its circumscribed radius; +inf field cells fall back to the
-    euclidean value (fallbacks are counted in `fallback_lookups`).
+    `fields` holds three Dijkstra cost-to-goal fields (milli-meters) over
+    the grid with passages blocked at radius 0 (F0, a zero-size robot), at
+    the footprint's inscribed radius and at its circumscribed radius.
+
+    Heuristic 0, the anchor, is `F0[cell] / self.anchor_scale`, the k that
+    `anchor_scale` computes for this domain's primitives, footprint masks
+    and resolution, times `ANCHOR_MARGIN` (1 + 1e-9): it sees walls, and it
+    is consistent and admissible. Heuristics 1 and 2 are the inscribed- and
+    circumscribed-radius fields as they are. Where a field is +inf (no path
+    to the goal on its grid) its heuristic is the euclidean distance to the
+    goal cell in edge-cost units, consistent as well; `fallback_lookups`
+    counts those lookups. An edge leaves F0 finite or +inf at both ends, so
+    the anchor never mixes the two across an edge.
 
     Collision checks read the map's collision maps, computed once per map
     content and set of swept cells at construction: later changes to
@@ -668,7 +712,7 @@ class LatticeDomain(SearchDomain):
     `load_primitives` returns, None the shipped set.
     """
 
-    num_inadmissible = 3
+    num_inadmissible = 2
 
     def __init__(
         self,
@@ -698,15 +742,22 @@ class LatticeDomain(SearchDomain):
         w, h = grid.width, grid.height
         sweeps: list[list] = [[] for _ in range(num_headings)]
         moves: list[list] = [[] for _ in range(num_headings)]
+        edges = []
         for p in self.primitives:
             if not all(0 <= pt < num_headings for _, _, pt in p.poses):
                 raise ValueError("primitive heading outside the configured fan")
-            sweeps[p.theta_start].append(tuple(sorted(
-                {(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]})))
+            if p.cost_milli * grid.resolution == INF:
+                raise ValueError(f"resolution {grid.resolution!r}: edge cost "
+                                 f"{p.cost_milli} * {grid.resolution!r} is not finite")
+            cost = math.ceil(p.cost_milli * grid.resolution)
+            swept = tuple(sorted(
+                {(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]}))
+            sweeps[p.theta_start].append(swept)
             ex, ey, et = p.end
             # the child's sid minus the sid of the parent's cell at heading 0
-            moves[p.theta_start].append(((ey * w + ex) * num_headings + et,
-                                         math.ceil(p.cost_milli * grid.resolution)))
+            moves[p.theta_start].append(((ey * w + ex) * num_headings + et, cost))
+            edges.append((swept, (ex, ey), cost))
+        self.anchor_scale = anchor_scale(tuple(edges), 1000.0 * grid.resolution) * ANCHOR_MARGIN
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
         self._goal_xy = gy * w + gx
@@ -764,13 +815,11 @@ class LatticeDomain(SearchDomain):
         return math.hypot(x - gx, y - gy) * self.grid.resolution * 1000.0
 
     def heuristic(self, sid: int, i: int) -> float:
-        if i == 0:
-            return self.euclidean_h(sid)
-        value = self.fields[i - 1][sid // self.num_headings]
+        value = self.fields[i][sid // self.num_headings]
         if value == INF:
             self.fallback_lookups += 1
             return self.euclidean_h(sid)
-        return value
+        return value if i else value / self.anchor_scale
 
     def primitive_between(self, sid_a: int, sid_b: int) -> Optional[MotionPrimitive]:
         """A loaded primitive realizing the edge a->b, if any (for replay checks)."""

@@ -25,6 +25,10 @@ from typing import Sequence
 
 from .domain import SearchDomain, StateInterner, _line_error
 
+# The most inadmissible heuristics a tile domain or manifest takes: the
+# planner keeps one open queue per heuristic, and each state a tuple of all.
+MAX_HEURISTICS = 64
+
 
 @dataclass(frozen=True)
 class TileBoard:
@@ -279,6 +283,9 @@ class TilePuzzleDomain(SearchDomain):
     def __init__(self, board: TileBoard, weights: Sequence[Sequence[float]]) -> None:
         if not is_solvable(board):
             raise ValueError("board is not solvable for the fixed goal arrangement")
+        if len(weights) > MAX_HEURISTICS:
+            raise ValueError(f"{len(weights)} weight triples: expected at most "
+                             f"MAX_HEURISTICS = {MAX_HEURISTICS}")
         self.weights = weight_triples(weights)
         self.num_inadmissible = len(self.weights)
         self._interner = StateInterner()

@@ -15,7 +15,7 @@ import pytest
 from amhastar import Planner, PlannerConfig
 from amhastar.bench import RunManifest, curve_csv, run_from_manifest, run_matrix
 from amhastar.grid import LatticeDomain, OccupancyGrid, RobotFootprint
-from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
+from amhastar.oracle import lattice_optimal, tile_goal_distances
 from amhastar.planner import SolutionRecord
 from amhastar.tiles import (
     TilePuzzleDomain,
@@ -96,7 +96,8 @@ def random_grid_instance(seed, density=0.08):
                 domain = LatticeDomain(grid, (sx, sy, st), (gx, gy), footprint=TINY)
             except ValueError:
                 continue
-            optimal = uniform_cost_optimal(domain)
+            optimal = lattice_optimal(grid, (domain.primitives, domain.num_headings), TINY,
+                                      (sx, sy, st), (gx, gy, None))
             if optimal is not None and optimal != math.inf:
                 return grid, (sx, sy, st), (gx, gy), optimal
     raise RuntimeError(f"no solvable instance for seed {seed}")

@@ -127,8 +127,8 @@ def test_print_path_prints_the_boards_from_start_to_goal(capsys):
 def test_verify_past_the_oracle_cap_skips_the_bound_checks(capsys, monkeypatch, tmp_path):
     from amhastar import bench
 
-    oracle = bench.uniform_cost_optimal
-    monkeypatch.setattr(bench, "uniform_cost_optimal", lambda domain: oracle(domain, 1))
+    oracle = bench.lattice_optimal
+    monkeypatch.setattr(bench, "lattice_optimal", lambda *args: oracle(*args, 1))
     path = tmp_path / "run.txt"
     path.write_text(RunManifest(domain="grid", map=str(MAPS / "yard30.map"), start="3 15 0",
                                 goal="26 15", clock="virtual").to_text())
@@ -193,13 +193,13 @@ def test_bench_and_verify_default_to_the_one_oracle_cap(monkeypatch, tmp_path):
     from amhastar.grid import OccupancyGrid
 
     caps = []
-    oracle = bench.uniform_cost_optimal
+    oracle = bench.lattice_optimal
 
-    def recording_oracle(domain, *cap):
+    def recording_oracle(grid, primitives, footprint, start, goal, *cap):
         caps.append(cap)
-        return oracle(domain, *cap)
+        return oracle(grid, primitives, footprint, start, goal, *cap)
 
-    monkeypatch.setattr(bench, "uniform_cost_optimal", recording_oracle)
+    monkeypatch.setattr(bench, "lattice_optimal", recording_oracle)
     (tmp_path / "m.map").write_text(OccupancyGrid.empty(15, 15, 1.0).to_text())
     (tmp_path / "q.scen").write_text("3 7 0 11 7\n")
     (tmp_path / "grid.cfg").write_text(

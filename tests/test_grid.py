@@ -29,8 +29,9 @@ from amhastar.grid import (
     load_scenarios,
 )
 from amhastar.oracle import uniform_cost_optimal
-from helpers import (octile_distance, reference_clearance_field, reference_dijkstra_field,
-                     reference_padded_sweep, save_primitives, set_obstacle)
+from helpers import (octile_distance, reference_anchor_scale, reference_clearance_field,
+                     reference_dijkstra_field, reference_padded_sweep, save_primitives,
+                     set_obstacle)
 
 INF = math.inf
 SMALL = RobotFootprint(0.6, 0.4)
@@ -707,25 +708,51 @@ def test_primitive_sweeping_obstacle_is_omitted():
 
 
 def test_euclidean_heuristic_values():
+    # The euclidean value is what a heuristic falls back to where its field
+    # is +inf: the anchor of a cell walled off from the goal on the plain grid.
     g = OccupancyGrid.empty(12, 12, 0.5)
+    for x, y in ((9, 9), (10, 9), (11, 9), (9, 10), (9, 11)):
+        set_obstacle(g, x, y)
     dom = LatticeDomain(g, (1, 1, 0), (4, 5), footprint=SMALL)
-    assert dom.heuristic(dom._intern(4, 5, 7), 0) == 0.0
+    assert dom.euclidean_h(dom._intern(4, 5, 7)) == 0.0
     # 3-4-5 offset from the goal, scaled by resolution and milli-units
-    assert dom.heuristic(dom._intern(1, 1, 0), 0) == pytest.approx(5 * 0.5 * 1000)
+    assert dom.euclidean_h(dom._intern(1, 1, 0)) == pytest.approx(5 * 0.5 * 1000)
+    # Where F0 is finite the anchor is F0 / k, here the octile distance:
+    # (3 * sqrt(2) + 1) straight steps of 500 mm.
+    k = reference_anchor_scale(dom.primitives, 16, SMALL, 0.5)
+    assert dom.heuristic(dom._intern(1, 1, 0), 0) == pytest.approx(
+        (3 * math.sqrt(2) + 1) * 500 / (k * (1 + 1e-9)), rel=1e-12)
+    assert dom.fallback_lookups == 0
+    walled = dom._intern(11, 11, 3)
+    assert dom.fields[0][11 * 12 + 11] == INF
+    assert dom.heuristic(walled, 0) == dom.euclidean_h(walled) == pytest.approx(
+        math.hypot(7, 6) * 500)
+    assert dom.fallback_lookups == 1
+
+
+@pytest.mark.parametrize("resolution, k", ((0.25, 1.0792), (0.5, 1.0795), (1.0, 1.0796)))
+def test_anchor_scale_of_the_shipped_primitives_matches_the_reference(resolution, k):
+    dom = LatticeDomain(OccupancyGrid.empty(30, 30, resolution), (15, 15, 0), (25, 25))
+    reference = reference_anchor_scale(dom.primitives, 16, DEFAULT_FOOTPRINT, resolution)
+    assert round(reference, 4) == k
+    assert dom.anchor_scale == reference * (1 + 1e-9)
 
 
 def test_all_heuristics_zero_at_goal():
     g = OccupancyGrid.load(shipped("maps/open20.map"))
     dom = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
-    for i in range(4):
+    assert dom.num_inadmissible == 2
+    for i in range(3):
         assert dom.heuristic(dom._intern(15, 12, 5), i) == 0.0
 
 
 def test_octile_field_dominates_euclidean_on_empty_map():
     g = OccupancyGrid.load(shipped("maps/open20.map"))
     dom = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
-    for sid in [dom._intern(x, y, 0) for x in range(0, 20, 3) for y in range(0, 20, 3)]:
-        assert dom.heuristic(sid, 1) >= dom.heuristic(sid, 0) - 1e-9
+    for x in range(0, 20, 3):
+        for y in range(0, 20, 3):
+            sid = dom._intern(x, y, 0)
+            assert dom.fields[0][y * 20 + x] >= dom.euclidean_h(sid) - 1e-9
 
 
 def test_narrow_passage_field_exceeds_open_field_behind_door():
@@ -734,7 +761,7 @@ def test_narrow_passage_field_exceeds_open_field_behind_door():
         g, (5, 16, 0), (35, 16), footprint=RobotFootprint(1.2, 0.8)
     )
     behind = dom._intern(10, 10, 0)
-    assert dom.heuristic(behind, 3) > dom.heuristic(behind, 1)
+    assert dom.heuristic(behind, 2) > dom.fields[0][10 * 40 + 10] > dom.heuristic(behind, 0)
 
 
 def test_euclidean_admissible_against_lattice_dijkstra():
@@ -743,19 +770,56 @@ def test_euclidean_admissible_against_lattice_dijkstra():
         dom = LatticeDomain(g, start, (10, 10), footprint=SMALL)
         optimal = uniform_cost_optimal(dom)
         assert optimal not in (None, INF)
-        assert dom.heuristic(dom.start(), 0) <= optimal + 1e-9
+        assert dom.euclidean_h(dom.start()) <= optimal
+        assert dom.heuristic(dom.start(), 0) <= optimal
+
+
+def _assert_anchor_consistent(dom):
+    """h(a) <= c + h(b) for the anchor on every edge of the domain, exactly."""
+    w, h = dom.grid.width, dom.grid.height
+    for sid in range(w * h * dom.num_headings):
+        ha = dom.heuristic(sid, 0)
+        for nid, cost in dom.successors(sid):
+            assert ha <= cost + dom.heuristic(nid, 0), (dom.pose_of(sid), dom.pose_of(nid))
 
 
 def test_euclidean_consistency_over_all_edges_small_map():
     g = OccupancyGrid.empty(10, 10, 0.5)
     dom = LatticeDomain(g, (5, 5, 0), (8, 8), footprint=SMALL)
-    for y in range(10):
-        for x in range(10):
-            for t in range(16):
-                sid = dom._intern(x, y, t)
-                h = dom.heuristic(sid, 0)
-                for nid, cost in dom.successors(sid):
-                    assert h <= cost + dom.heuristic(nid, 0) + 1e-9
+    _assert_anchor_consistent(dom)
+    for sid in range(10 * 10 * 16):
+        for nid, cost in dom.successors(sid):
+            assert dom.euclidean_h(sid) <= cost + dom.euclidean_h(nid)
+
+
+@pytest.mark.parametrize("resolution", (0.25, 0.5, 1.0))
+@pytest.mark.parametrize("name", ("open20", "rooms40", "yard30"))
+def test_anchor_consistent_on_every_edge_of_the_shipped_maps(name, resolution):
+    # Each shipped map at each resolution, with the default footprint, for
+    # three goals drawn from the free cells; no tolerance.
+    text = shipped(f"maps/{name}.map").read_text()
+    header, rows = text.split("\n", 1)
+    width, height, _ = header.split()
+    g = OccupancyGrid.parse(f"{width} {height} {resolution}\n{rows}")
+    rng = random.Random(f"{name}-{resolution}")
+    free = [(x, y) for y in range(g.height) for x in range(g.width) if not g.is_obstacle(x, y)]
+    start = next((x, y, 0) for x, y in free
+                 if not footprint_collides(g, (x, y, 0), DEFAULT_FOOTPRINT))
+    for goal in rng.sample(free, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a goal cell too narrow for a blocked field
+            dom = LatticeDomain(g, start, goal)
+        _assert_anchor_consistent(dom)
+
+
+def test_anchor_admissible_against_the_pose_graph_oracle():
+    # h(start) <= the optimum on the acceptance suite's 100 grid instances,
+    # whose optima come from `oracle.lattice_optimal`.
+    from test_acceptance import TINY, random_grid_instance
+    for seed in range(4000, 4100):
+        grid, start, goal, optimal = random_grid_instance(seed)
+        dom = LatticeDomain(grid, start, goal, footprint=TINY)
+        assert dom.heuristic(dom.start(), 0) <= optimal, seed
 
 
 def test_solution_path_replays_through_primitives():
@@ -979,16 +1043,18 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
         warnings.simplefilter("ignore")
         fields = [dijkstra_field(grid, goal, r) for r in radii]
     assert all(type(f) is array for f in [clearance] + fields + dom.fields)
+    scale = reference_anchor_scale(prims, num_headings, footprint, resolution) * (1 + 1e-9)
+    assert dom.anchor_scale == scale
     gx, gy = goal
     for x, y, t in poses:
         sid = (y * width + x) * num_headings + t
         assert dom.successors(sid) == _reference_successors(
             grid, footprint, num_headings, prims, (x, y, t)), (x, y, t)
         euclid = math.hypot(x - gx, y - gy) * resolution * 1000.0
-        assert dom.heuristic(sid, 0) == euclid
-        for i, field in enumerate(fields, start=1):
+        for i, field in enumerate(fields):
             value = field[y * width + x]
-            assert dom.heuristic(sid, i) == (euclid if value == INF else value)
+            expected = value / scale if i == 0 else value
+            assert dom.heuristic(sid, i) == (euclid if value == INF else expected)
 
 
 def _sparse_grid(seed):

@@ -15,10 +15,15 @@ Manifests are read with `RunManifest.from_text`, which types the numeric
 fields; the text fields (`board`, `start`, `goal`, ...) are parsed when the
 run's domain is built, so a number is swapped only where a whole value is
 one.
+
+Two valid-looking inputs that used to end in an `OverflowError` or a
+`MemoryError` are rejected by name: a map resolution at which an edge cost
+overflows, and a heuristic count past `tiles.MAX_HEURISTICS`.
 """
 import random
 import re
 import shutil
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -28,7 +33,9 @@ from amhastar import bench
 from amhastar.bench import RunManifest, parse_kv, run_matrix
 from amhastar.grid import (LatticeDomain, MotionPrimitive, OccupancyGrid, load_primitives,
                            load_scenarios)
-from amhastar.tiles import load_instances
+from amhastar.cli import main
+from amhastar.tiles import (MAX_HEURISTICS, TilePuzzleDomain, load_instances,
+                            parse_instance_line)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -204,3 +211,46 @@ def test_lattice_domain_rejects_primitive_objects_outside_its_fan(poses):
     prims = [MotionPrimitive(0, poses[-1][2], 1000, poses)]
     with pytest.raises(ValueError, match="^primitive heading outside the configured fan$"):
         LatticeDomain(grid, (3, 15, 0), (26, 15), primitives=(prims, 4))
+
+
+def test_a_resolution_whose_edge_costs_overflow_is_rejected_naming_it(tmp_path, capsys):
+    # 1e306 passes the map header's finite check, but an edge of 1000
+    # milli-cells then costs more than a float holds.
+    path = tmp_path / "huge.map"
+    path.write_text("4 4 1e306\n" + "....\n" * 4)
+    code = main(["solve-grid", "--map", str(path), "--start", "1 1 0", "--goal", "2 2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("resolution 1e+306: edge cost "), err
+    assert err.rstrip().endswith("is not finite"), err
+
+
+class _Triples(Sequence):
+    """A sequence of `n` weight triples that holds none of them."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("a weight triple was read past the cap")
+
+
+def test_a_heuristic_count_past_the_cap_is_rejected_before_any_weight_is_drawn(
+        tmp_path, capsys, monkeypatch):
+    def draw_weights(n, seed):
+        raise AssertionError(f"{n} weight triples drawn")
+
+    monkeypatch.setattr(bench, "draw_weights", draw_weights)
+    path = tmp_path / "run.txt"
+    path.write_text("domain = tiles\nboard = 3 3 1 2 0 3 4 5 6 7 8\nn_heur = 2147483648\n")
+    assert main(["verify", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"n_heur = 2147483648: expected at most MAX_HEURISTICS = {MAX_HEURISTICS}\n")
+    board = parse_instance_line("3 3 1 2 0 3 4 5 6 7 8")
+    with pytest.raises(ValueError, match=rf"^2147483648 weight triples: expected at most "
+                                         rf"MAX_HEURISTICS = {MAX_HEURISTICS}$"):
+        TilePuzzleDomain(board, _Triples(2147483648))
+    assert TilePuzzleDomain(board, [(1, 1, 1)] * MAX_HEURISTICS).num_inadmissible == MAX_HEURISTICS

@@ -1,10 +1,13 @@
 """Reference-search behavior and the run verdict checks, including the
 injected-fault cases."""
 import math
+from pathlib import Path
 
 import pytest
 
-from amhastar.oracle import tile_goal_distances, uniform_cost_optimal
+from amhastar.grid import (BUILTIN_PRIMITIVES, LatticeDomain, OccupancyGrid, RobotFootprint,
+                           load_primitives, load_scenarios)
+from amhastar.oracle import lattice_optimal, tile_goal_distances, uniform_cost_optimal
 from amhastar.planner import SolutionRecord
 from amhastar.verify import verify_run
 
@@ -38,6 +41,40 @@ def test_oracle_unreachable_is_infinite():
 def test_oracle_cap_marker():
     dom = grid_domain(20, 20, (0, 0), (19, 19))
     assert uniform_cost_optimal(dom, state_cap=10) is None
+
+
+def _yard30():
+    root = Path(__file__).resolve().parents[1]
+    grid = OccupancyGrid.load(root / "src" / "amhastar" / "data" / "maps" / "yard30.map")
+    return grid, load_primitives(BUILTIN_PRIMITIVES), load_scenarios(root / "configs" / "yard30.scen")
+
+
+@pytest.mark.parametrize("goal_heading", (None, 0, 5))
+def test_lattice_oracle_agrees_with_the_domain_oracle(goal_heading):
+    # The pose-graph oracle and Dijkstra over the domain's own successors
+    # find the same optimum on every yard scenario, with and without a goal
+    # heading, though they share no successor or collision-map code; some
+    # goal headings cannot be reached, and both say +inf there.
+    grid, primitives, queries = _yard30()
+    footprint = RobotFootprint(0.6, 0.4)
+    optima = []
+    for start, (gx, gy, _) in queries:
+        goal = (gx, gy, goal_heading)
+        dom = LatticeDomain(grid, start, goal, primitives=primitives, footprint=footprint)
+        optima.append(lattice_optimal(grid, primitives, footprint, start, goal))
+        assert optima[-1] == uniform_cost_optimal(dom) is not None
+    assert any(optimal < math.inf for optimal in optima)
+
+
+def test_lattice_oracle_unreachable_goal_start_goal_and_cap():
+    grid, primitives, _ = _yard30()
+    footprint = RobotFootprint(0.6, 0.4)
+    assert lattice_optimal(grid, primitives, footprint, (3, 15, 0), (3, 15, None)) == 0
+    walled = OccupancyGrid.parse("9 3 1\n....#....\n....#....\n....#....\n")
+    tiny = RobotFootprint(0.1, 0.1)
+    assert lattice_optimal(walled, primitives, tiny, (1, 1, 0), (7, 1, None)) == math.inf
+    assert lattice_optimal(grid, primitives, footprint, (3, 15, 0), (26, 15, None),
+                           state_cap=10) is None
 
 
 def test_breadth_first_distances():
