@@ -5,15 +5,18 @@ sequences respecting a minimum turning radius) read from a `.mprim` file;
 the builtin set is the shipped `data/primitives/unicycle16.mprim`, loaded
 once per process. Collision checking places a rectangular footprint at
 every swept pose. Edge costs are the primitive arc lengths in integer
-milli-meters. Three backward 8-connected Dijkstra fields are swept per
-goal: over the plain grid (F0) and over the grid with narrow passages
-blocked at the footprint's inscribed and circumscribed radii. The anchor
-heuristic is F0 / k, where k (`anchor_scale`) is the largest ratio, over
-the primitives, of the shortest 8-connected path inside a primitive's swept
-cells to its edge cost, widened by 1e-9 against rounding; it is consistent,
-since a collision-free edge sweeps only free cells. The two blocked fields
-are the inadmissible heuristics. Where a field is +inf, its heuristic falls
-back to straight-line distance.
+milli-meters. Two backward 8-connected Dijkstra fields are swept per goal,
+over the grid with narrow passages blocked at the footprint's inscribed and
+circumscribed radii (F_ins and F_circ); they are the inadmissible
+heuristics. The anchor heuristic is F_ins / k, where k (`anchor_scale`) is
+the largest ratio, over the primitives, of the shortest 8-connected path
+through a primitive's pose centre cells to its edge cost, widened by 1e-9
+against rounding. It is consistent, by one lemma: an obstacle centre inside
+the footprint's inscribed disc lies inside the footprint, so a collision-free
+pose's cell is free in F_ins's mask. The pose centres of a collision-free
+edge therefore form an 8-connected path through F_ins's free cells, and
+`F_ins(a) <= P_e + F_ins(b)` holds across every edge. Where a field is +inf,
+its heuristic falls back to straight-line distance.
 
 `LatticeDomain` reads collisions from collision maps, computed once per map
 for every cell, as lattice planners precompute each primitive's swept cells
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 import warnings
 from array import array
 from collections import deque
@@ -91,8 +95,10 @@ class OccupancyGrid:
     def __init__(self, width: int, height: int, resolution: float, cells: bytearray) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("grid dimensions must be positive")
-        if not 0 < resolution < INF:
-            raise ValueError("resolution must be positive and finite")
+        # Below sys.float_info.min a sweep's steps would be subnormal, with
+        # too few significant bits for the anchor's margin.
+        if not sys.float_info.min <= resolution < INF:
+            raise ValueError(f"resolution must be finite and at least {sys.float_info.min!r}")
         if len(cells) != width * height:
             raise ValueError("cell buffer size mismatch")
         self.width = width
@@ -117,9 +123,9 @@ class OccupancyGrid:
             raise _line_error(
                 n, f"bad map header {header!r}: expected `width height resolution`"
             ) from None
-        if not 0 < res < INF:
-            raise _line_error(n, f"bad map header {header!r}: resolution must be positive "
-                                 "and finite")
+        if not sys.float_info.min <= res < INF:
+            raise _line_error(n, f"bad map header {header!r}: resolution must be finite "
+                                 f"and at least {sys.float_info.min!r}")
         if len(lines) != h + 1:
             # the last row read, or the first row past the declared height
             n = lines[min(len(lines) - 1, h + 1)][0]
@@ -434,7 +440,7 @@ def dijkstra_field(
     return _padded_sweep(tables, [goal_idx], w, h, 1000.0 * res)
 
 
-# Widens k, so that the sweeps' float rounding cannot make F0 / k inconsistent.
+# Widens k, so that the sweeps' float rounding cannot make F_ins / k inconsistent.
 ANCHOR_MARGIN = 1 + 1e-9
 
 
@@ -442,22 +448,26 @@ ANCHOR_MARGIN = 1 + 1e-9
 def anchor_scale(edges: tuple[tuple[tuple[tuple[int, int], ...], tuple[int, int], int], ...],
                  straight: float) -> float:
     """k, the largest `P_e / cost_e` over a lattice's primitives, each given
-    as its swept cell offsets, its end cell offset and its edge cost.
+    as its pose centre cell offsets, its end cell offset and its edge cost.
 
     `P_e` is the shortest 8-connected path from the start cell to the end
-    cell inside the swept cells, swept as `dijkstra_field` sweeps, with
-    steps `straight` and `straight * sqrt(2)`. A collision-free edge sweeps
-    only free cells, so the radius-0 goal field F0 obeys `F0(a) <= P_e +
-    F0(b)` across it, and F0 / k is consistent. k depends only on the
-    primitives, the footprint masks and the resolution, not on the map.
+    cell inside the pose centre cells, swept as `dijkstra_field` sweeps,
+    with steps `straight` and `straight * sqrt(2)`. An obstacle centre
+    inside the footprint's inscribed disc lies inside the footprint, so the
+    centre cell of a collision-free pose is free in the inscribed-radius
+    mask. A collision-free edge's pose centres are then a path through that
+    mask's free cells, the inscribed-radius goal field F_ins obeys
+    `F_ins(a) <= P_e + F_ins(b)` across it, and F_ins / k is consistent. k
+    depends only on the primitives and the resolution, not on the map or
+    the footprint.
     """
     k = 0.0
-    for swept, (ex, ey), cost in edges:
-        x0, y0 = min(x for x, _ in swept), min(y for _, y in swept)
-        w = max(x for x, _ in swept) - x0 + 1
-        h = max(y for _, y in swept) - y0 + 1
+    for centres, (ex, ey), cost in edges:
+        x0, y0 = min(x for x, _ in centres), min(y for _, y in centres)
+        w = max(x for x, _ in centres) - x0 + 1
+        h = max(y for _, y in centres) - y0 + 1
         cells = bytearray(b"\x01") * (w * h)
-        for x, y in swept:
+        for x, y in centres:
             cells[(y - y0) * w + x - x0] = 0
         tables = _sweep_tables(_padded(cells, w, h, 1), w + 2)
         field = _padded_sweep(tables, [(1 - y0) * (w + 2) + 1 - x0], w, h, straight)
@@ -690,19 +700,26 @@ def _collision_maps(width: int, height: int, cells: bytes,
 class LatticeDomain(SearchDomain):
     """Motion-primitive navigation domain with a three-heuristic ensemble.
 
-    `fields` holds three Dijkstra cost-to-goal fields (milli-meters) over
-    the grid with passages blocked at radius 0 (F0, a zero-size robot), at
-    the footprint's inscribed radius and at its circumscribed radius.
+    Two Dijkstra cost-to-goal fields (milli-meters) are swept, over the
+    grid with passages blocked at the footprint's inscribed radius (F_ins)
+    and at its circumscribed radius (F_circ); `fields` is `[F_ins, F_ins,
+    F_circ]`, one per heuristic.
 
-    Heuristic 0, the anchor, is `F0[cell] / self.anchor_scale`, the k that
-    `anchor_scale` computes for this domain's primitives, footprint masks
-    and resolution, times `ANCHOR_MARGIN` (1 + 1e-9): it sees walls, and it
-    is consistent and admissible. Heuristics 1 and 2 are the inscribed- and
-    circumscribed-radius fields as they are. Where a field is +inf (no path
-    to the goal on its grid) its heuristic is the euclidean distance to the
-    goal cell in edge-cost units, consistent as well; `fallback_lookups`
-    counts those lookups. An edge leaves F0 finite or +inf at both ends, so
-    the anchor never mixes the two across an edge.
+    Heuristic 0, the anchor, is `F_ins[cell] / self.anchor_scale`, the k
+    that `anchor_scale` computes over this domain's primitives' pose centre
+    cells at its resolution, times `ANCHOR_MARGIN` (1 + 1e-9): it sees
+    walls, and it is consistent and admissible, because no collision-free
+    pose sits on a cell that F_ins blocks (see `anchor_scale`). Heuristics
+    1 and 2 are F_ins and F_circ as they are. Where a field is +inf (no
+    path to the goal on its grid) its heuristic is the euclidean distance
+    to the goal cell in edge-cost units, consistent as well;
+    `fallback_lookups` counts those lookups. An edge's pose centres join
+    its ends through F_ins's free cells, so F_ins is finite or +inf at both
+    ends, and the anchor never mixes the two across an edge.
+
+    Every path the planner keeps is simple, so it costs at most the largest
+    edge cost times the pose count; a resolution at which that passes 2**53
+    is rejected, so that every path cost is exact as a float in a key.
 
     Collision checks read the map's collision maps, computed once per map
     content and set of swept cells at construction: later changes to
@@ -740,15 +757,18 @@ class LatticeDomain(SearchDomain):
             for t in range(num_headings)
         ]
         w, h = grid.width, grid.height
+        poses = w * h * num_headings
+        largest = max(p.cost_milli for p in self.primitives)
+        # ceil(largest * res) * poses <= 2**53 iff largest * res <= 2**53 // poses
+        if not largest * grid.resolution <= 2 ** 53 // poses:
+            raise ValueError(f"resolution {grid.resolution!r}: edge costs up to {largest} * "
+                             f"{grid.resolution!r} over {poses} poses can sum past 2**53")
         sweeps: list[list] = [[] for _ in range(num_headings)]
         moves: list[list] = [[] for _ in range(num_headings)]
         edges = []
         for p in self.primitives:
             if not all(0 <= pt < num_headings for _, _, pt in p.poses):
                 raise ValueError("primitive heading outside the configured fan")
-            if p.cost_milli * grid.resolution == INF:
-                raise ValueError(f"resolution {grid.resolution!r}: edge cost "
-                                 f"{p.cost_milli} * {grid.resolution!r} is not finite")
             cost = math.ceil(p.cost_milli * grid.resolution)
             swept = tuple(sorted(
                 {(px + mx, py + my) for px, py, pt in p.poses for mx, my in masks[pt]}))
@@ -756,7 +776,7 @@ class LatticeDomain(SearchDomain):
             ex, ey, et = p.end
             # the child's sid minus the sid of the parent's cell at heading 0
             moves[p.theta_start].append(((ey * w + ex) * num_headings + et, cost))
-            edges.append((swept, (ex, ey), cost))
+            edges.append((tuple(sorted({(px, py) for px, py, _ in p.poses})), (ex, ey), cost))
         self.anchor_scale = anchor_scale(tuple(edges), 1000.0 * grid.resolution) * ANCHOR_MARGIN
         gx, gy = goal[0], goal[1]
         self.goal_cell = (gx, gy)
@@ -771,8 +791,9 @@ class LatticeDomain(SearchDomain):
             raise ValueError("start heading outside the configured fan")
         if footprint_collides(grid, start_pose, self.footprint, num_headings):
             raise ValueError(f"start pose {start_pose} is in collision")
-        radii = (0.0, self.footprint.inscribed_radius, self.footprint.circumscribed_radius)
-        self.fields = [dijkstra_field(grid, self.goal_cell, r) for r in radii]
+        inscribed, circumscribed = (dijkstra_field(grid, self.goal_cell, r) for r in (
+            self.footprint.inscribed_radius, self.footprint.circumscribed_radius))
+        self.fields = [inscribed, inscribed, circumscribed]
         maps = _collision_maps(w, h, bytes(grid.cells), tuple(map(tuple, sweeps)))
         # Per start heading: (collision map, successor table) per chunk; a
         # table's entry for a byte lists the chunk's moves whose bit is clear.

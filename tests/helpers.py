@@ -13,7 +13,7 @@ from dataclasses import astuple, replace
 from typing import Hashable, Mapping, Optional, Sequence
 
 from amhastar.domain import SearchDomain, StateInterner
-from amhastar.grid import DIRS16, INF, footprint_cell_mask
+from amhastar.grid import DIRS16, INF
 from amhastar.planner import Planner, PlannerConfig
 from amhastar.tiles import TileBoard, _blank_moves
 from spec_amha import Spec
@@ -247,17 +247,16 @@ def reference_padded_sweep(blocked, sources, width, height, straight):
     return [field[(y + 1) * stride + 1 + x] for y in range(height) for x in range(width)]
 
 
-def reference_anchor_scale(primitives, num_headings, footprint, resolution):
+def reference_anchor_scale(primitives, resolution):
     """The lattice anchor's k by brute force: per primitive, a binary-heap
-    Dijkstra over the set of its swept cells (the footprint cells of every
-    swept pose) from its start cell to its end cell, in the fields' step
-    costs, divided by its edge cost; the largest such ratio."""
+    Dijkstra over the set of its pose centre cells from its start cell to
+    its end cell, in the fields' step costs, divided by its edge cost; the
+    largest such ratio."""
     straight = 1000.0 * resolution
     diagonal = straight * math.sqrt(2)
     k = 0.0
     for prim in primitives:
-        swept = {(px + mx, py + my) for px, py, pt in prim.poses
-                 for mx, my in footprint_cell_mask(footprint, resolution, num_headings, pt)}
+        centres = {(px, py) for px, py, _ in prim.poses}
         dist = {(0, 0): 0.0}
         heap = [(0.0, (0, 0))]
         while heap:
@@ -267,7 +266,7 @@ def reference_anchor_scale(primitives, num_headings, footprint, resolution):
             for dx, dy in DIRS8:
                 cell = (x + dx, y + dy)
                 nd = d + (diagonal if dx and dy else straight)
-                if cell in swept and nd < dist.get(cell, INF):
+                if cell in centres and nd < dist.get(cell, INF):
                     dist[cell] = nd
                     heapq.heappush(heap, (nd, cell))
         k = max(k, dist[prim.end[:2]] / math.ceil(prim.cost_milli * resolution))

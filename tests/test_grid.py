@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import re
+import sys
 import time
 import warnings
 from array import array
@@ -28,7 +29,7 @@ from amhastar.grid import (
     load_primitives,
     load_scenarios,
 )
-from amhastar.oracle import uniform_cost_optimal
+from amhastar.oracle import lattice_optimal, uniform_cost_optimal
 from helpers import (octile_distance, reference_anchor_scale, reference_clearance_field,
                      reference_dijkstra_field, reference_padded_sweep, save_primitives,
                      set_obstacle)
@@ -92,10 +93,10 @@ def test_map_parse_rejects_bad_resolution(res):
 @pytest.mark.parametrize("args, match", [
     ((0, 3, 1.0, bytearray(0)), "grid dimensions must be positive"),
     ((3, -1, 1.0, bytearray(0)), "grid dimensions must be positive"),
-    ((3, 3, 0.0, bytearray(9)), "resolution must be positive and finite"),
-    ((3, 3, INF, bytearray(9)), "resolution must be positive and finite"),
-    ((3, 3, math.nan, bytearray(9)), "resolution must be positive and finite"),
+    *[((3, 3, res, bytearray(9)), "resolution must be finite and at least 2.2250738585072014e-308")
+      for res in (0.0, INF, math.nan)],
     ((3, 3, 1.0, bytearray(8)), "cell buffer size mismatch"),
+    ((3, 3, 1e-320, bytearray(9)), "resolution must be finite and at least 2.2250738585072014e-308"),
 ])
 def test_grid_constructor_rejects_bad_dimensions_resolution_and_buffer(args, match):
     with pytest.raises(ValueError, match=match):
@@ -209,10 +210,11 @@ def test_primitive_file_errors_name_the_line(tmp_path, body, match):
     ("\n3 1 1.0\n..\n", "line 3: map row 0 has width 2"),
     ("3 2 1.0\n...\n.x.\n", "line 3: unexpected map character 'x'"),
     ("\n\n4 4\n....\n", "line 3: bad map header"),
-    *[(f"4 3 {res}\n", rf"^line 1: bad map header '4 3 {res}': resolution must be positive "
-                       "and finite$") for res in ("0", "-0.5", "nan", "inf")],
+    *[(f"4 3 {res}\n", rf"^line 1: bad map header '4 3 {res}': resolution must be finite "
+                       r"and at least 2\.2250738585072014e-308$")
+      for res in ("0", "-0.5", "nan", "inf", "1e-320")],
 ], ids=["row-width", "bad-character", "header-after-blank-lines", "resolution-0",
-        "resolution-negative", "resolution-nan", "resolution-inf"])
+        "resolution-negative", "resolution-nan", "resolution-inf", "resolution-subnormal"])
 def test_map_parse_errors_name_the_line(text, match):
     with pytest.raises(ValueError, match=match):
         OccupancyGrid.parse(text)
@@ -635,13 +637,13 @@ def test_map_cache_is_keyed_on_content(monkeypatch):
     assert grid_mod._collision_maps.cache_info().currsize == 1
     dom2 = LatticeDomain(OccupancyGrid.load(path), (2, 2, 0), (15, 12), footprint=SMALL)
     masks = grid_mod._blocked_mask.cache_info()
-    assert (masks.misses, masks.hits) == (3, 3)  # dom2 reuses dom1's masks
+    assert (masks.misses, masks.hits) == (2, 2)  # dom2 reuses dom1's masks
     assert all(m2 is m1 for m2, m1 in zip(_collision_bytes(dom2), _collision_bytes(dom1)))
     assert dom2.fields == dom1.fields
     changed = OccupancyGrid.load(path)
     set_obstacle(changed, 10, 17)
     dom3 = LatticeDomain(changed, (2, 2, 0), (15, 12), footprint=SMALL)
-    assert grid_mod._blocked_mask.cache_info().misses == 6
+    assert grid_mod._blocked_mask.cache_info().misses == 4
     assert calls == []  # no build sweeps a clearance field
     cell = 17 * changed.width + 10
     assert all(m[cell] == 0b1111 for m in _collision_bytes(dom3))
@@ -658,14 +660,14 @@ def test_fields_see_obstacles_set_after_a_build(monkeypatch):
     assert all(f[cell] < INF for f in before.fields)
     set_obstacle(g, 9, 8)
     after = LatticeDomain(g, (2, 2, 0), (15, 12), footprint=SMALL)
-    assert grid_mod._blocked_mask.cache_info().misses == 6
+    assert grid_mod._blocked_mask.cache_info().misses == 4
     assert calls == []
     assert all(f[cell] == INF for f in after.fields)
     clearance = reference_clearance_field(g)
     # Every primitive sweeps its start cell, so all four bits are set there.
     for m_after, m_before in zip(_collision_bytes(after), _collision_bytes(before)):
         assert m_after[cell] == 0b1111 != m_before[cell]
-    radii = (0.0, SMALL.inscribed_radius, SMALL.circumscribed_radius)
+    radii = (SMALL.inscribed_radius, SMALL.inscribed_radius, SMALL.circumscribed_radius)
     for r, field in zip(radii, after.fields):
         assert list(field) == reference_dijkstra_field(g, (15, 12), r, clearance)
 
@@ -709,7 +711,8 @@ def test_primitive_sweeping_obstacle_is_omitted():
 
 def test_euclidean_heuristic_values():
     # The euclidean value is what a heuristic falls back to where its field
-    # is +inf: the anchor of a cell walled off from the goal on the plain grid.
+    # is +inf: the anchor of a cell walled off from the goal on the grid
+    # blocked at the inscribed radius, here just the obstacles.
     g = OccupancyGrid.empty(12, 12, 0.5)
     for x, y in ((9, 9), (10, 9), (11, 9), (9, 10), (9, 11)):
         set_obstacle(g, x, y)
@@ -717,9 +720,9 @@ def test_euclidean_heuristic_values():
     assert dom.euclidean_h(dom._intern(4, 5, 7)) == 0.0
     # 3-4-5 offset from the goal, scaled by resolution and milli-units
     assert dom.euclidean_h(dom._intern(1, 1, 0)) == pytest.approx(5 * 0.5 * 1000)
-    # Where F0 is finite the anchor is F0 / k, here the octile distance:
-    # (3 * sqrt(2) + 1) straight steps of 500 mm.
-    k = reference_anchor_scale(dom.primitives, 16, SMALL, 0.5)
+    # Where F_ins is finite the anchor is F_ins / k, here the octile
+    # distance: (3 * sqrt(2) + 1) straight steps of 500 mm.
+    k = reference_anchor_scale(dom.primitives, 0.5)
     assert dom.heuristic(dom._intern(1, 1, 0), 0) == pytest.approx(
         (3 * math.sqrt(2) + 1) * 500 / (k * (1 + 1e-9)), rel=1e-12)
     assert dom.fallback_lookups == 0
@@ -733,7 +736,7 @@ def test_euclidean_heuristic_values():
 @pytest.mark.parametrize("resolution, k", ((0.25, 1.0792), (0.5, 1.0795), (1.0, 1.0796)))
 def test_anchor_scale_of_the_shipped_primitives_matches_the_reference(resolution, k):
     dom = LatticeDomain(OccupancyGrid.empty(30, 30, resolution), (15, 15, 0), (25, 25))
-    reference = reference_anchor_scale(dom.primitives, 16, DEFAULT_FOOTPRINT, resolution)
+    reference = reference_anchor_scale(dom.primitives, resolution)
     assert round(reference, 4) == k
     assert dom.anchor_scale == reference * (1 + 1e-9)
 
@@ -820,6 +823,75 @@ def test_anchor_admissible_against_the_pose_graph_oracle():
         grid, start, goal, optimal = random_grid_instance(seed)
         dom = LatticeDomain(grid, start, goal, footprint=TINY)
         assert dom.heuristic(dom.start(), 0) <= optimal, seed
+
+
+@pytest.mark.parametrize("resolution", (0.25, 0.5, 1.0))
+@pytest.mark.parametrize("name, blocked_at_quarter", (("open20", 76), ("rooms40", 216),
+                                                      ("yard30", 202)))
+def test_no_collision_free_pose_sits_on_a_cell_the_inscribed_mask_blocks(
+        name, blocked_at_quarter, resolution):
+    # The anchor's lemma: an obstacle centre inside the inscribed disc lies
+    # inside the footprint, so only colliding poses sit on blocked cells.
+    header, rows = shipped(f"maps/{name}.map").read_text().split("\n", 1)
+    w, h = map(int, header.split()[:2])
+    g = OccupancyGrid.parse(f"{w} {h} {resolution}\n{rows}")
+    mask = grid_mod._blocked_mask(w, h, resolution, bytes(g.cells),
+                                  DEFAULT_FOOTPRINT.inscribed_radius)[0]
+    blocked = [(x, y) for y in range(h) for x in range(w)
+               if mask[(y + 1) * (w + 2) + x + 1] and not g.is_obstacle(x, y)]
+    # The inscribed radius is 0.4 m: at 0.5 m per cell and above the mask
+    # blocks only the obstacles.
+    assert len(blocked) == (blocked_at_quarter if resolution == 0.25 else 0)
+    for x, y in blocked:
+        for t in range(16):
+            assert footprint_collides(g, (x, y, t), DEFAULT_FOOTPRINT), (x, y, t)
+
+
+@pytest.mark.parametrize("start, goal, beside_the_wall_end", (
+    ((4, 4, 0), (34, 34), False),
+    ((5, 16, 0), (35, 16), False),
+    ((19, 32, 10), (14, 26), True),
+    ((23, 30, 6), (13, 37), True),
+    ((21, 32, 14), (32, 15), True),
+))
+def test_anchor_admissible_with_the_default_footprint_on_rooms40(start, goal,
+                                                                 beside_the_wall_end):
+    # rooms40 is at 0.25 m, where the inscribed mask is wider than the
+    # obstacles (TINY's, in the test above, is just the obstacles).
+    g = OccupancyGrid.load(shipped("maps/rooms40.map"))
+    dom = LatticeDomain(g, start, goal)
+    optimal = lattice_optimal(g, (dom.primitives, dom.num_headings), DEFAULT_FOOTPRINT,
+                              start, (*goal, None))
+    assert optimal not in (None, INF)
+    assert dom.heuristic(dom.start(), 0) <= optimal
+    # There the circumscribed field over k overestimates: the robot hugs
+    # the wall's end closer than that field lets it.
+    assert (dom.heuristic(dom.start(), 2) / dom.anchor_scale > optimal) is beside_the_wall_end
+
+
+def test_a_build_sweeps_two_goal_fields(monkeypatch):
+    radii = []
+    real = grid_mod.dijkstra_field
+
+    def counted(g, goal, block_radius=0.0):
+        radii.append(block_radius)
+        return real(g, goal, block_radius)
+
+    monkeypatch.setattr(grid_mod, "dijkstra_field", counted)
+    dom = LatticeDomain(OccupancyGrid.load(shipped("maps/open20.map")), (2, 2, 0), (15, 12))
+    assert radii == [DEFAULT_FOOTPRINT.inscribed_radius, DEFAULT_FOOTPRINT.circumscribed_radius]
+    assert dom.fields[0] is dom.fields[1] is not dom.fields[2]
+
+
+def test_anchor_consistent_at_the_least_normal_resolution():
+    # Every sweep step is a normal float at sys.float_info.min, the least
+    # resolution a map may have; every edge there costs 1.
+    res = sys.float_info.min
+    rows = shipped("maps/yard30.map").read_text().split("\n", 1)[1]
+    g = OccupancyGrid.parse(f"30 30 {res!r}\n{rows}")
+    dom = LatticeDomain(g, (3, 15, 0), (26, 15), footprint=RobotFootprint(1.2 * res, 0.8 * res))
+    assert {cost for sid in range(30 * 30 * 16) for _, cost in dom.successors(sid)} == {1}
+    _assert_anchor_consistent(dom)
 
 
 def test_solution_path_replays_through_primitives():
@@ -1038,12 +1110,13 @@ def test_successors_and_heuristics_match_reference(num_headings, resolution, foo
     poses += [(x, y, t) for x, y in cells[:4] for t in range(num_headings)]
 
     clearance = clearance_field(grid)
-    radii = (0.0, footprint.inscribed_radius, footprint.circumscribed_radius)
+    radii = (footprint.inscribed_radius, footprint.inscribed_radius,
+             footprint.circumscribed_radius)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fields = [dijkstra_field(grid, goal, r) for r in radii]
     assert all(type(f) is array for f in [clearance] + fields + dom.fields)
-    scale = reference_anchor_scale(prims, num_headings, footprint, resolution) * (1 + 1e-9)
+    scale = reference_anchor_scale(prims, resolution) * (1 + 1e-9)
     assert dom.anchor_scale == scale
     gx, gy = goal
     for x, y, t in poses:

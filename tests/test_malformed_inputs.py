@@ -17,8 +17,8 @@ run's domain is built, so a number is swapped only where a whole value is
 one.
 
 Two valid-looking inputs that used to end in an `OverflowError` or a
-`MemoryError` are rejected by name: a map resolution at which an edge cost
-overflows, and a heuristic count past `tiles.MAX_HEURISTICS`.
+`MemoryError` are rejected by name: a map resolution at which edge costs
+can sum past 2**53, and a heuristic count past `tiles.MAX_HEURISTICS`.
 """
 import random
 import re
@@ -221,8 +221,22 @@ def test_a_resolution_whose_edge_costs_overflow_is_rejected_naming_it(tmp_path, 
     code = main(["solve-grid", "--map", str(path), "--start", "1 1 0", "--goal", "2 2"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("resolution 1e+306: edge cost "), err
-    assert err.rstrip().endswith("is not finite"), err
+    assert err.startswith("resolution 1e+306: edge costs up to "), err
+    assert err.rstrip().endswith(" over 256 poses can sum past 2**53"), err
+
+
+def test_a_resolution_whose_path_costs_overflow_is_rejected_naming_it(tmp_path, capsys):
+    # At 1e304 every edge cost is finite, but a few of them sum past the
+    # float range: the run used to end in an OverflowError in the planner.
+    header, rows = (DATA / "maps" / "yard30.map").read_text().split("\n", 1)
+    path = tmp_path / "big.map"
+    path.write_text("30 30 1e304\n" + rows)
+    code = main(["solve-grid", "--map", str(path), "--start", "3 15 0", "--goal", "26 15",
+                 "--clock", "virtual", "--footprint", "rect:1.2e304x0.8e304"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("resolution 1e+304: edge costs up to "), err
+    assert err.rstrip().endswith(" over 14400 poses can sum past 2**53"), err
 
 
 class _Triples(Sequence):
